@@ -12,7 +12,7 @@ format (9 significant digits) round-trips exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,20 +23,17 @@ __all__ = [
     "Embedding",
     "ScoreSet",
     "VerificationReport",
-    "Histogram",
     "EmbedderConfig",
     "EmbedderTrainConfig",
     "EmbedderModel",
     "PAIRING_MODES",
     "cosine_similarity",
-    "match_decision",
     "pair_scores",
     "tar_at_far",
     "eer",
     "welch_t_test",
     "regularized_incomplete_beta",
     "student_t_two_sided_p",
-    "score_histogram",
     "train_embedder",
     "forward_embedder",
     "embed_images",
@@ -82,7 +79,11 @@ class ScoreSet:
 
 @dataclass
 class VerificationReport:
-    """One operating point plus distribution statistics for a pairing mode."""
+    """One operating point plus distribution statistics for a pairing mode.
+
+    ``skipped_identities`` counts the identities the mode had no genuine
+    pair for; it is reported on stderr, not written to the report file.
+    """
 
     pairing: str
     far_target: float
@@ -100,9 +101,7 @@ class VerificationReport:
     t_df: float | None = None
     t_p: float | None = None
     error: str | None = None
-
-    def as_dict(self):
-        return asdict(self)
+    skipped_identities: int = 0
 
 
 def cosine_similarity(a, b):
@@ -118,16 +117,40 @@ def cosine_similarity(a, b):
     return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
 
 
-def match_decision(score, tau):
-    """True iff the probe matches the reference: score >= tau (inclusive)."""
-    return score >= tau
-
-
 def _mode_sources(pairing):
     if pairing not in PAIRING_MODES:
         raise ValueError(f"unknown pairing mode {pairing!r}; expected one of {PAIRING_MODES}")
     probe, _, ref = pairing.partition("-")
     return probe, ref
+
+
+def _pool(by_identity, identities, source):
+    """Embeddings of ``source`` identity by identity, with per-identity offsets."""
+    pool, offsets = [], [0]
+    for identity in identities:
+        pool.extend(by_identity[identity].get(source, []))
+        offsets.append(len(pool))
+    return pool, offsets
+
+
+def _gram_scorer(probes, refs):
+    """Cosine scores for index pairs into ``probes`` x ``refs`` from one Gram matrix."""
+    shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
+    if len(shapes) > 1:
+        raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
+    p = np.array([e.vector for e in probes], dtype=np.float64)
+    r = p if refs is probes else np.array([e.vector for e in refs], dtype=np.float64)
+    gram = p @ r.T
+    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
+    r_norm = p_norm if r is p else np.sqrt(np.einsum("ij,ij->i", r, r))
+    p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
+
+    def score(a, b):
+        if p_zero[a].any() or r_zero[b].any():
+            raise ValueError("cosine similarity is undefined for a zero-norm vector")
+        return np.clip(gram[a, b] / (p_norm[a] * r_norm[b]), -1.0, 1.0)
+
+    return score
 
 
 def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_000):
@@ -141,6 +164,11 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
 
     ``pairs_per_id`` > 0 caps genuine pairs per identity (seeded choice);
     imposter pairs above ``max_imposter`` are uniformly subsampled.
+
+    Scores come from one float64 Gram matrix of the probe and reference
+    vectors, so each lies within 1e-15 of :func:`cosine_similarity` on the
+    same pair (the dot products sum in a different order); pair order and
+    the seeded selection do not depend on that.
     """
     probe_src, ref_src = _mode_sources(pairing)
     symmetric = probe_src == ref_src
@@ -149,63 +177,48 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     by_identity: dict[str, dict[str, list[Embedding]]] = {}
     for emb in embeddings:
         by_identity.setdefault(emb.identity, {}).setdefault(emb.source, []).append(emb)
+    identities = sorted(by_identity)
+    probes, p_off = _pool(by_identity, identities, probe_src)
+    refs, r_off = (probes, p_off) if symmetric else _pool(by_identity, identities, ref_src)
 
-    genuine = []
+    gen_a, gen_b = [], []
     skipped = 0
-    usable = []
-    for identity in sorted(by_identity):
-        groups = by_identity[identity]
-        probes = groups.get(probe_src, [])
-        refs = groups.get(ref_src, [])
+    for k in range(len(identities)):
+        n_p, n_r = p_off[k + 1] - p_off[k], r_off[k + 1] - r_off[k]
         if symmetric:
-            pool = probes
-            pairs = [(pool[i], pool[j]) for i in range(len(pool)) for j in range(i + 1, len(pool))]
+            i, j = np.triu_indices(n_p, 1)
         else:
-            pairs = [
-                (probes[i], refs[j])
-                for i in range(len(probes))
-                for j in range(len(refs))
-                if i != j
-            ]
-        if not pairs:
+            i, j = np.nonzero(~np.eye(n_p, n_r, dtype=bool))
+        if i.size == 0:
             skipped += 1
             continue
-        usable.append(identity)
-        if pairs_per_id and len(pairs) > pairs_per_id:
-            idx = rng.choice(len(pairs), size=pairs_per_id, replace=False)
-            pairs = [pairs[int(i)] for i in idx]
-        genuine.extend(cosine_similarity(p, r) for p, r in pairs)
+        if pairs_per_id and i.size > pairs_per_id:
+            idx = rng.choice(i.size, size=pairs_per_id, replace=False)
+            i, j = i[idx], j[idx]
+        gen_a.append(p_off[k] + i)
+        gen_b.append(r_off[k] + j)
 
-    if not usable:
+    if not gen_a:
         raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
-    identities = sorted(by_identity)
+    score = _gram_scorer(probes, refs)
+    genuine = score(np.concatenate(gen_a), np.concatenate(gen_b))
     if len(identities) < 2:
         raise ValueError("imposter pairs require at least 2 identities")
 
-    probe_list = [(e, identity) for identity in identities for e in by_identity[identity].get(probe_src, [])]
-    ref_list = [(e, identity) for identity in identities for e in by_identity[identity].get(ref_src, [])]
-    cross = []
+    p_id = np.repeat(np.arange(len(identities)), np.diff(p_off))
     if symmetric:
-        for i in range(len(probe_list)):
-            for j in range(i + 1, len(probe_list)):
-                if probe_list[i][1] != probe_list[j][1]:
-                    cross.append((probe_list[i][0], probe_list[j][0]))
+        a, b = np.triu_indices(len(probes), 1)
+        cross = p_id[a] != p_id[b]
+        a, b = a[cross], b[cross]
     else:
-        for pe, pid in probe_list:
-            for re_, rid in ref_list:
-                if pid != rid:
-                    cross.append((pe, re_))
-    if len(cross) > max_imposter:
-        idx = rng.choice(len(cross), size=max_imposter, replace=False)
-        cross = [cross[int(i)] for i in idx]
-    imposter = [cosine_similarity(p, r) for p, r in cross]
+        r_id = np.repeat(np.arange(len(identities)), np.diff(r_off))
+        a, b = np.nonzero(p_id[:, None] != r_id[None, :])
+    if a.size > max_imposter:
+        idx = rng.choice(a.size, size=max_imposter, replace=False)
+        a, b = a[idx], b[idx]
+    imposter = score(a, b)
 
-    return ScoreSet(
-        genuine=np.array(genuine, dtype=np.float64),
-        imposter=np.array(imposter, dtype=np.float64),
-        pairing=pairing,
-        skipped_identities=skipped,
-    )
+    return ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped)
 
 
 def tar_at_far(scores, far):
@@ -262,12 +275,14 @@ def eer(scores):
     far = np.append(far, 0.0)
     frr = np.append(frr, 1.0)
     diff = far - frr
-    for k in range(diff.size):
+    # The first threshold where FAR no longer exceeds FRR: a tie there is
+    # the EER; otherwise the curves crossed since the previous threshold.
+    crossed = np.flatnonzero(diff <= 0.0)
+    if crossed.size:
+        k = int(crossed[0])
         if diff[k] == 0.0:
             return float((far[k] + frr[k]) / 2.0)
-        if diff[k] < 0.0:
-            if k == 0:
-                break
+        if k > 0:
             t = diff[k - 1] / (diff[k - 1] - diff[k])
             far_x = far[k - 1] + (far[k] - far[k - 1]) * t
             frr_x = frr[k - 1] + (frr[k] - frr[k - 1]) * t
@@ -364,34 +379,6 @@ def welch_t_test(a, b):
     t = float((xa.mean() - xb.mean()) / math.sqrt(se2))
     df = se2 * se2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return t, float(df), student_t_two_sided_p(t, df)
-
-
-# ---------------------------------------------------------------------------
-# histograms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Histogram:
-    """Equal-width bin counts with out-of-range overflow tallies."""
-
-    counts: np.ndarray
-    edges: np.ndarray
-    below: int
-    above: int
-
-
-def score_histogram(scores, bins, lo, hi):
-    """Bin counts over [lo, hi]: right-open bins, last bin right-closed."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if not lo < hi:
-        raise ValueError(f"range must satisfy lo < hi, got [{lo}, {hi}]")
-    arr = np.asarray(scores, dtype=np.float64)
-    below = int(np.count_nonzero(arr < lo))
-    above = int(np.count_nonzero(arr > hi))
-    in_range = arr[(arr >= lo) & (arr <= hi)]
-    counts, edges = np.histogram(in_range, bins=bins, range=(lo, hi))
-    return Histogram(counts=counts.astype(np.int64), edges=edges, below=below, above=above)
 
 
 # ---------------------------------------------------------------------------
@@ -650,20 +637,20 @@ def load_embedder(path):
             raise ValueError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:
             raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    stat_slots = {f"emb.block{i}.bn": stats for i, stats in enumerate(model.stats)}
     for name, arr in tensors.items():
         if name in expected:
             model.params[name].value[...] = arr
             continue
-        base, _, kind = name.rpartition(".bn.")
-        if not base.startswith("emb.block") or kind not in ("running_mean", "running_var"):
+        base, _, kind = name.rpartition(".")
+        if base not in stat_slots or kind not in ("running_mean", "running_var"):
             raise ValueError(f"{path}: unexpected tensor {name!r}")
-        i = int(base.removeprefix("emb.block"))
         if arr.shape != (cfg.base_channels,):
             raise ValueError(f"{path}: tensor {name!r} has wrong shape {arr.shape}")
         if kind == "running_mean":
-            model.stats[i].mean = arr
+            stat_slots[base].mean = arr
         else:
-            model.stats[i].var = arr
+            stat_slots[base].var = arr
     for i, stats in enumerate(model.stats):
         if (stats.mean is None) != (stats.var is None):
             raise ValueError(f"{path}: running statistics for block {i} are incomplete")

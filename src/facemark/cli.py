@@ -222,6 +222,9 @@ def _cmd_verify(args):
             identities = [identity for _, identity in manifest.entries]
             embeddings.extend(bioeval.embed_images(embedder, images, identities, source=manifest.source_tag))
     reports = pipeline.run_verification(embeddings, options)
+    skipped = {r.pairing: r.skipped_identities for r in reports if r.skipped_identities}
+    for mode, count in skipped.items():
+        print(f"pairing {mode}: skipped {count} identities with too few images", file=sys.stderr)
     for report in reports:
         if report.error:
             print(f"report ({report.pairing}, far={report.far_target}) incomplete: {report.error}", file=sys.stderr)

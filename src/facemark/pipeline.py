@@ -700,6 +700,7 @@ def run_verification(embeddings, options=VerifyOptions(), baseline=None):
                 t_stat=t_stat,
                 t_df=t_df,
                 t_p=t_p,
+                skipped_identities=scores.skipped_identities,
                 **stats,
             )
             try:

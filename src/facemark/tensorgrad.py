@@ -16,8 +16,9 @@ Conventions
   may be called once per graph; a second call on the same loss raises.
 * ``relu`` uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
-* Results are independent of BLAS thread count because every output element
-  has a fixed summation order.
+* Results repeat exactly at a fixed BLAS thread count. Changing the thread
+  count can change the last digits, because BLAS splits its sums
+  differently.
 """
 
 from __future__ import annotations
