@@ -277,18 +277,15 @@ def eer(scores):
     diff = far - frr
     # The first threshold where FAR no longer exceeds FRR: a tie there is
     # the EER; otherwise the curves crossed since the previous threshold.
-    crossed = np.flatnonzero(diff <= 0.0)
-    if crossed.size:
-        k = int(crossed[0])
-        if diff[k] == 0.0:
-            return float((far[k] + frr[k]) / 2.0)
-        if k > 0:
-            t = diff[k - 1] / (diff[k - 1] - diff[k])
-            far_x = far[k - 1] + (far[k] - far[k - 1]) * t
-            frr_x = frr[k - 1] + (frr[k] - frr[k - 1]) * t
-            return float((far_x + frr_x) / 2.0)
-    k = int(np.argmin(np.abs(diff)))
-    return float((far[k] + frr[k]) / 2.0)
+    # diff[0] is 1 (every imposter >= the smallest score, no genuine below
+    # it) and the appended point is -1, so 0 < k < len(diff).
+    k = int(np.flatnonzero(diff <= 0.0)[0])
+    if diff[k] == 0.0:
+        return float((far[k] + frr[k]) / 2.0)
+    t = diff[k - 1] / (diff[k - 1] - diff[k])
+    far_x = far[k - 1] + (far[k] - far[k - 1]) * t
+    frr_x = frr[k - 1] + (frr[k] - frr[k - 1]) * t
+    return float((far_x + frr_x) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,45 @@ def _result(value, op, parents, vjp):
 # convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(x_padded, k, stride, out_h, out_w):
-    """(N, C, Hp, Wp) -> (N, C*k*k, out_h*out_w) patch matrix (copies)."""
-    n, c, hp, wp = x_padded.shape
+def _patches(x_padded, k, stride, out_h, out_w):
+    """Read-only (N, C, k, k, out_h, out_w) patch view of a padded batch."""
     sn, sc, sh, sw = x_padded.strides
-    patches = np.lib.stride_tricks.as_strided(
+    n, c = x_padded.shape[:2]
+    return np.lib.stride_tricks.as_strided(
         x_padded,
         shape=(n, c, k, k, out_h, out_w),
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    return patches.reshape(n, c * k * k, out_h * out_w)
+
+
+def _pad_spatial(x, pad):
+    """Zero-pad the two spatial axes of an (N, C, H, W) array (pad 0: ``x`` itself)."""
+    if not pad:
+        return x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[:, :, pad : pad + h, pad : pad + w] = x
+    return out
+
+
+def _correlate(x_padded, w_mat, k, stride, out_h, out_w):
+    """Per-sample patch GEMMs: (N, C, Hp, Wp) x (C_out, C*k*k) -> (N, C_out, out_h, out_w).
+
+    One sample's patch matrix at a time is copied into a single buffer and
+    multiplied into its slice of the output, so no whole-batch patch matrix
+    is ever built.
+    """
+    n, c = x_padded.shape[:2]
+    c_out = w_mat.shape[0]
+    patches = _patches(x_padded, k, stride, out_h, out_w)
+    buf = np.empty((c, k, k, out_h, out_w))
+    cols = buf.reshape(c * k * k, out_h * out_w)
+    out = np.empty((n, c_out, out_h, out_w))
+    for i in range(n):
+        np.copyto(buf, patches[i])
+        np.matmul(w_mat, cols, out=out[i].reshape(c_out, out_h * out_w))
+    return out
 
 
 def _col2im(cols, x_shape, k, stride, out_h, out_w):
@@ -142,6 +170,11 @@ def conv2d(x, weight, bias, stride=1, pad=0):
 
     ``weight`` is C_out x C_in x k x k with k odd; output spatial size is
     (H + 2*pad - k) // stride + 1 and must divide evenly.
+
+    Patches are gathered one sample at a time into a buffer that lives for
+    one call, so memory stays near the size of the input and output rather
+    than k*k times the input; the weight gradient adds the per-sample
+    products in sample order.
     """
     x, weight, bias = _as_node(x), _as_node(weight), _as_node(bias)
     if x.value.ndim != 4:
@@ -169,13 +202,10 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     if out_h < 1 or out_w < 1:
         raise ValueError(f"conv2d: output size {out_h}x{out_w} is empty")
 
-    if pad:
-        xp = np.pad(x.value, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.value
-    cols = _im2col(xp, k, stride, out_h, out_w)
+    xp = _pad_spatial(x.value, pad)
     w_mat = weight.value.reshape(c_out, c_in * k * k)
-    out = np.matmul(w_mat, cols).reshape(n, c_out, out_h, out_w) + bias.value[None, :, None, None]
+    out = _correlate(xp, w_mat, k, stride, out_h, out_w)
+    out += bias.value[None, :, None, None]
 
     def vjp(g):
         gf = g.reshape(n, c_out, out_h * out_w)
@@ -183,18 +213,25 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if weight.requires_grad:
-            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.value.shape)
+            patches = _patches(xp, k, stride, out_h, out_w)
+            buf = np.empty((c_in, k, k, out_h, out_w))
+            cols_t = buf.reshape(c_in * k * k, out_h * out_w).T
+            gw = np.empty(weight.value.shape)
+            acc = gw.reshape(c_out, c_in * k * k)
+            for i in range(n):
+                np.copyto(buf, patches[i])
+                if i == 0:
+                    np.matmul(gf[i], cols_t, out=acc)
+                else:
+                    acc += np.matmul(gf[i], cols_t)
         if x.requires_grad:
             if stride == 1 and k - 1 - pad >= 0:
                 # Input gradient as a correlation of the output gradient
-                # with the flipped kernel: one BLAS call instead of the
-                # scatter-add loop.
+                # with the flipped kernel.
                 margin = k - 1 - pad
-                gop = np.pad(g, ((0, 0), (0, 0), (margin, margin), (margin, margin)))
+                gop = _pad_spatial(g, margin)
                 w_flip = weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gcols = _im2col(gop, k, 1, h, w)
-                gx = np.matmul(np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k)), gcols)
-                gx = gx.reshape(n, c_in, h, w)
+                gx = _correlate(gop, np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k)), k, 1, h, w)
             else:
                 gcols = np.matmul(w_mat.T, gf)
                 gxp = _col2im(gcols, xp.shape, k, stride, out_h, out_w)
@@ -725,10 +762,6 @@ class ParamSet:
 
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())
-
-    def clear_grads(self):
-        for node in self._params.values():
-            node.grad = None
 
 
 def adam_step(params: ParamSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

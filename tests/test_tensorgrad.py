@@ -1,5 +1,7 @@
 """Layer-op semantics, gradients against finite differences, Adam, checker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,139 @@ class TestConv2d:
 
         report = tg.finite_diff_check({"x": x, "w": w, "b": b}, build, tolerance=1e-6)
         assert report.passed, str(report)
+
+
+def _oracle_im2col(x_padded, k, stride, out_h, out_w):
+    n, c, hp, wp = x_padded.shape
+    sn, sc, sh, sw = x_padded.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x_padded,
+        shape=(n, c, k, k, out_h, out_w),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False,
+    )
+    return patches.reshape(n, c * k * k, out_h * out_w)
+
+
+def _oracle_col2im(cols, x_shape, k, stride, out_h, out_w):
+    n, c, hp, wp = x_shape
+    out = np.zeros(x_shape, dtype=cols.dtype)
+    cols = cols.reshape(n, c, k, k, out_h, out_w)
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[:, :, i, j]
+    return out
+
+
+def oracle_conv2d(x, w, b, g, stride=1, pad=0):
+    """The earlier whole-batch im2col conv2d, kept as a bitwise reference.
+
+    Returns the output and the (x, weight, bias) gradients for the upstream
+    gradient ``g``.
+    """
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (wd + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = _oracle_im2col(xp, k, stride, out_h, out_w)
+    w_mat = w.reshape(c_out, c_in * k * k)
+    out = np.matmul(w_mat, cols).reshape(n, c_out, out_h, out_w) + b[None, :, None, None]
+    gf = g.reshape(n, c_out, out_h * out_w)
+    gb = g.sum(axis=(0, 2, 3))
+    gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    if stride == 1 and k - 1 - pad >= 0:
+        margin = k - 1 - pad
+        gop = np.pad(g, ((0, 0), (0, 0), (margin, margin), (margin, margin)))
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gcols = _oracle_im2col(gop, k, 1, h, wd)
+        gx = np.matmul(np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k)), gcols).reshape(n, c_in, h, wd)
+    else:
+        gxp = _oracle_col2im(np.matmul(w_mat.T, gf), xp.shape, k, stride, out_h, out_w)
+        gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
+    return out, gx, gw, gb
+
+
+def _conv_with_grads(x, w, b, g, stride=1, pad=0):
+    xn, wn, bn = tg.parameter(x), tg.parameter(w), tg.parameter(b)
+    out = tg.conv2d(xn, wn, bn, stride=stride, pad=pad)
+    return (out.value, *out._vjp(g))
+
+
+def _assert_matches_oracle(x, w, b, g, stride=1, pad=1):
+    got = _conv_with_grads(x, w, b, g, stride=stride, pad=pad)
+    want = oracle_conv2d(x, w, b, g, stride=stride, pad=pad)
+    for name, a, e in zip(("out", "gx", "gw", "gb"), got, want):
+        assert np.array_equal(a, e), name
+
+
+def _conv_case(n, c_in, c_out, size, k=3, stride=1, pad=1, seed=0):
+    rng = np.random.default_rng(seed)
+    out_size = (size + 2 * pad - k) // stride + 1
+    x = rng.standard_normal((n, c_in, size, size))
+    w = rng.standard_normal((c_out, c_in, k, k)) * 0.1
+    b = rng.standard_normal(c_out)
+    g = rng.standard_normal((n, c_out, out_size, out_size))
+    return x, w, b, g
+
+
+class TestConv2dMatchesWholeBatchOracle:
+    """Outputs and gradients are bit-identical to the whole-batch im2col code."""
+
+    @pytest.mark.parametrize("size", [32, 24, 27])
+    @pytest.mark.parametrize("c_in,c_out", [(19, 64), (64, 64), (83, 3), (64, 16)])
+    def test_network_shapes(self, c_in, c_out, size):
+        _assert_matches_oracle(*_conv_case(3, c_in, c_out, size, seed=c_in + c_out + size))
+
+    @pytest.mark.parametrize(
+        "k,stride,pad,size",
+        [(3, 1, 0, 32), (5, 1, 2, 24), (3, 1, 2, 27), (1, 1, 0, 24), (3, 2, 1, 27), (5, 2, 2, 31), (3, 1, 3, 8)],
+    )
+    def test_padding_and_stride(self, k, stride, pad, size):
+        case = _conv_case(4, 19, 16, size, k=k, stride=stride, pad=pad, seed=k + 10 * stride + 100 * pad)
+        _assert_matches_oracle(*case, stride=stride, pad=pad)
+
+    def test_training_batch(self):
+        _assert_matches_oracle(*_conv_case(16, 64, 64, 32, seed=7))
+
+    def test_batch_equals_single_sample_calls(self):
+        x, w, b, g = _conv_case(5, 19, 64, 24, seed=8)
+        out, gx, gw, gb = _conv_with_grads(x, w, b, g, pad=1)
+        singles = [_conv_with_grads(x[i : i + 1], w, b, g[i : i + 1], pad=1) for i in range(5)]
+        assert np.array_equal(out, np.concatenate([s[0] for s in singles]))
+        assert np.array_equal(gx, np.concatenate([s[1] for s in singles]))
+        # The weight gradient adds the per-sample products in sample order.
+        gw_sum = singles[0][2]
+        for s in singles[1:]:
+            gw_sum = gw_sum + s[2]
+        assert np.array_equal(gw, gw_sum)
+        np.testing.assert_allclose(gb, sum(s[3] for s in singles), rtol=1e-12)
+
+    def test_results_own_their_memory(self):
+        # backward() copies any gradient that is a view; conv results are not.
+        x, w, b, g = _conv_case(2, 3, 4, 8, seed=9)
+        out, gx, gw, gb = _conv_with_grads(x, w, b, g, pad=1)
+        assert out.base is None and gx.base is None and gw.base is None and gb.base is None
+        assert out.flags.c_contiguous and gx.flags.c_contiguous
+
+    def test_memory_stays_near_input_size(self):
+        # A whole-batch patch matrix for this layer is 16*64*9*32*32*8 bytes
+        # (75.5 MB); neither the retained graph nor the backward pass may
+        # need one.
+        x, w, b, g = _conv_case(16, 64, 64, 32, seed=10)
+        patch_matrix_bytes = 16 * 64 * 9 * 32 * 32 * 8
+        xn, wn, bn = tg.parameter(x), tg.parameter(w), tg.parameter(b)
+        tracemalloc.start()
+        try:
+            out = tg.conv2d(xn, wn, bn, pad=1)
+            held_after_forward, _ = tracemalloc.get_traced_memory()
+            grads = out._vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(gr is not None for gr in grads)
+        assert held_after_forward < 3 * x.nbytes
+        assert peak < patch_matrix_bytes
 
 
 class TestBatchNorm:
