@@ -473,15 +473,7 @@ def forward_embedder(model, images, mode="infer"):
         raise ValueError(f"embedder expects {cfg.image_channels}-channel images, got {x.value.shape[1]}")
     out = x
     for i in range(_EMBEDDER_BLOCKS):
-        h = tg.conv2d(out, model.params[f"emb.block{i}.conv.weight"], model.params[f"emb.block{i}.conv.bias"], pad=1)
-        h = tg.batchnorm2d(
-            h,
-            model.params[f"emb.block{i}.bn.gamma"],
-            model.params[f"emb.block{i}.bn.beta"],
-            mode=mode,
-            running=model.stats[i],
-        )
-        out = tg.relu(h)
+        out = tg.conv_bn_relu(out, *model.params.conv_bn(f"emb.block{i}"), mode, model.stats[i])
     pooled = tg.global_avg_pool(out)
     features = tg.affine(pooled, model.params["emb.fc_embed.weight"], model.params["emb.fc_embed.bias"])
     logits = tg.affine(features, model.params["emb.fc_class.weight"], model.params["emb.fc_class.bias"])

@@ -13,7 +13,12 @@ Conventions
   in 64-bit so that finite-difference checks are tight; persistence at
   32-bit is handled by the callers that own file formats.
 * A computation graph is built fresh for every training step. ``backward``
-  may be called once per graph; a second call on the same loss raises.
+  may be called once per graph; a second call through any of its non-leaf
+  nodes raises. ``backward`` releases each vjp closure, and the interior
+  gradient it consumed, as soon as the closure has run: afterwards only
+  leaves hold ``grad``.
+* The conv2d and relu vjps read their input and output nodes and keep no
+  padded copy or mask; the batchnorm2d vjp keeps only the normalized input.
 * ``relu`` uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
 * Results repeat exactly at a fixed BLAS thread count. Changing the thread
@@ -38,6 +43,7 @@ __all__ = [
     "conv2d",
     "batchnorm2d",
     "relu",
+    "conv_bn_relu",
     "sigmoid",
     "affine",
     "global_avg_pool",
@@ -63,9 +69,11 @@ __all__ = [
 class Node:
     """One vertex of the computation graph: a value plus how it was produced.
 
-    ``grad`` stays ``None`` until a backward pass reaches the node; after
-    ``backward`` it has the same shape as ``value`` for every node on a path
-    from a parameter to the loss.
+    ``grad`` stays ``None`` until a backward pass reaches the node. After
+    ``backward`` it has the same shape as ``value`` on every leaf that
+    requires gradients and lies on a path to the loss; interior nodes hold
+    ``None`` again, because their gradients and vjp closures are released
+    once used.
     """
 
     __slots__ = ("value", "op", "parents", "grad", "requires_grad", "_vjp", "_consumed")
@@ -113,67 +121,54 @@ def _result(value, op, parents, vjp):
 # convolution
 # ---------------------------------------------------------------------------
 
-def _patches(x_padded, k, stride, out_h, out_w):
-    """Read-only (N, C, k, k, out_h, out_w) patch view of a padded batch."""
-    sn, sc, sh, sw = x_padded.strides
-    n, c = x_padded.shape[:2]
-    return np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(n, c, k, k, out_h, out_w),
-        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
-        writeable=False,
-    )
+def _sample_patches(x, k, pad, out_h, out_w):
+    """Yield each sample's (C*k*k, out_h*out_w) patch matrix, in sample order.
 
-
-def _pad_spatial(x, pad):
-    """Zero-pad the two spatial axes of an (N, C, H, W) array (pad 0: ``x`` itself)."""
-    if not pad:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = x
-    return out
-
-
-def _correlate(x_padded, w_mat, k, stride, out_h, out_w):
-    """Per-sample patch GEMMs: (N, C, Hp, Wp) x (C_out, C*k*k) -> (N, C_out, out_h, out_w).
-
-    One sample's patch matrix at a time is copied into a single buffer and
-    multiplied into its slice of the output, so no whole-batch patch matrix
-    is ever built.
+    Every matrix lives in the same (C, k, k, out_h, out_w) buffer, so a
+    caller must finish with one before asking for the next. The buffer is
+    zeroed once and only each tap's in-bounds window is copied from the
+    unpadded input: the zero border is the same for every sample. A
+    negative ``pad`` crops instead of padding.
     """
-    n, c = x_padded.shape[:2]
-    c_out = w_mat.shape[0]
-    patches = _patches(x_padded, k, stride, out_h, out_w)
-    buf = np.empty((c, k, k, out_h, out_w))
-    cols = buf.reshape(c * k * k, out_h * out_w)
-    out = np.empty((n, c_out, out_h, out_w))
-    for i in range(n):
-        np.copyto(buf, patches[i])
-        np.matmul(w_mat, cols, out=out[i].reshape(c_out, out_h * out_w))
-    return out
-
-
-def _col2im(cols, x_shape, k, stride, out_h, out_w):
-    """Scatter-add (N, C*k*k, P) columns back onto an (N, C, Hp, Wp) grid."""
-    n, c, hp, wp = x_shape
-    out = np.zeros(x_shape, dtype=cols.dtype)
-    cols = cols.reshape(n, c, k, k, out_h, out_w)
+    n, c, h, w = x.shape
+    buf = np.zeros((c, k, k, out_h, out_w))
+    taps = []
     for i in range(k):
+        y0, y1 = max(0, pad - i), min(out_h, h + pad - i)
         for j in range(k):
-            out[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[:, :, i, j]
+            x0, x1 = max(0, pad - j), min(out_w, w + pad - j)
+            if y0 < y1 and x0 < x1:
+                src = (slice(y0 + i - pad, y1 + i - pad), slice(x0 + j - pad, x1 + j - pad))
+                taps.append((buf[:, i, j, y0:y1, x0:x1], src))
+    cols = buf.reshape(c * k * k, out_h * out_w)
+    for s in range(n):
+        for dst, (rows, columns) in taps:
+            np.copyto(dst, x[s, :, rows, columns])
+        yield cols
+
+
+def _correlate(x, w_mat, k, pad, out_h, out_w):
+    """Per-sample patch GEMMs: (N, C, H, W) x (C_out, C*k*k) -> (N, C_out, out_h, out_w)."""
+    n = x.shape[0]
+    c_out = w_mat.shape[0]
+    out = np.empty((n, c_out, out_h, out_w))
+    out_mat = out.reshape(n, c_out, out_h * out_w)
+    for i, cols in enumerate(_sample_patches(x, k, pad, out_h, out_w)):
+        np.matmul(w_mat, cols, out=out_mat[i])
     return out
 
 
-def conv2d(x, weight, bias, stride=1, pad=0):
-    """Cross-correlation with zero padding over an N x C x H x W batch.
+def conv2d(x, weight, bias, pad=0):
+    """Stride-1 cross-correlation with zero padding over an N x C x H x W batch.
 
-    ``weight`` is C_out x C_in x k x k with k odd; output spatial size is
-    (H + 2*pad - k) // stride + 1 and must divide evenly.
+    ``weight`` is C_out x C_in x k x k with k odd; the output spatial size is
+    H + 2*pad - k + 1.
 
-    Patches are gathered one sample at a time into a buffer that lives for
-    one call, so memory stays near the size of the input and output rather
-    than k*k times the input; the weight gradient adds the per-sample
+    Patches are gathered one sample at a time, straight from the unpadded
+    input, into a buffer that lives for one call; no padded copy of the
+    input is made or kept for the backward pass. The input gradient
+    correlates the output gradient, padded (or cropped) by k - 1 - pad,
+    with the flipped kernel; the weight gradient adds the per-sample
     products in sample order.
     """
     x, weight, bias = _as_node(x), _as_node(weight), _as_node(bias)
@@ -189,53 +184,35 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         raise ValueError(f"conv2d: input has {c_in} channels but weight expects {wc_in} (axis 1)")
     if bias.value.shape != (c_out,):
         raise ValueError(f"conv2d: bias shape {bias.value.shape} does not match {c_out} output channels (axis 0)")
-    if stride < 1 or pad < 0:
-        raise ValueError(f"conv2d: stride must be >= 1 and pad >= 0, got stride={stride}, pad={pad}")
+    if pad < 0:
+        raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
     k = kh
-    if (h + 2 * pad - k) % stride or (w + 2 * pad - k) % stride:
-        raise ValueError(
-            f"conv2d: spatial size {h}x{w} with pad={pad}, k={k}, stride={stride} "
-            "does not produce an integral output size"
-        )
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
+    out_h = h + 2 * pad - k + 1
+    out_w = w + 2 * pad - k + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(f"conv2d: output size {out_h}x{out_w} is empty")
 
-    xp = _pad_spatial(x.value, pad)
     w_mat = weight.value.reshape(c_out, c_in * k * k)
-    out = _correlate(xp, w_mat, k, stride, out_h, out_w)
+    out = _correlate(x.value, w_mat, k, pad, out_h, out_w)
     out += bias.value[None, :, None, None]
 
     def vjp(g):
-        gf = g.reshape(n, c_out, out_h * out_w)
         gx = gw = gb = None
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if weight.requires_grad:
-            patches = _patches(xp, k, stride, out_h, out_w)
-            buf = np.empty((c_in, k, k, out_h, out_w))
-            cols_t = buf.reshape(c_in * k * k, out_h * out_w).T
+            gf = g.reshape(n, c_out, out_h * out_w)
             gw = np.empty(weight.value.shape)
             acc = gw.reshape(c_out, c_in * k * k)
-            for i in range(n):
-                np.copyto(buf, patches[i])
+            for i, cols in enumerate(_sample_patches(x.value, k, pad, out_h, out_w)):
                 if i == 0:
-                    np.matmul(gf[i], cols_t, out=acc)
+                    np.matmul(gf[i], cols.T, out=acc)
                 else:
-                    acc += np.matmul(gf[i], cols_t)
+                    acc += np.matmul(gf[i], cols.T)
         if x.requires_grad:
-            if stride == 1 and k - 1 - pad >= 0:
-                # Input gradient as a correlation of the output gradient
-                # with the flipped kernel.
-                margin = k - 1 - pad
-                gop = _pad_spatial(g, margin)
-                w_flip = weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                gx = _correlate(gop, np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k)), k, 1, h, w)
-            else:
-                gcols = np.matmul(w_mat.T, gf)
-                gxp = _col2im(gcols, xp.shape, k, stride, out_h, out_w)
-                gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+            w_flip = weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            w_flip_mat = np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k))
+            gx = _correlate(g, w_flip_mat, k, k - 1 - pad, h, w)
         return gx, gw, gb
 
     return _result(out, "conv2d", (x, weight, bias), vjp)
@@ -294,9 +271,10 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'infer', got {mode!r}")
 
     axes = (0, 2, 3)
+    xhat = np.empty(x.value.shape)
     if mode == "train":
         mu = x.value.mean(axis=axes)
-        var = np.square(x.value).mean(axis=axes) - np.square(mu)
+        var = np.square(x.value, out=xhat).mean(axis=axes) - np.square(mu)
         np.maximum(var, 0.0, out=var)  # guard rounding on constant channels
         if running is not None:
             running.update(mu, var)
@@ -306,22 +284,33 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
         mu, var = running.mean, running.var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.value[None, :, None, None] * xhat + beta.value[None, :, None, None]
+    np.subtract(x.value, mu[None, :, None, None], out=xhat)
+    xhat *= inv_std[None, :, None, None]
+    out = gamma.value[None, :, None, None] * xhat
+    out += beta.value[None, :, None, None]
     m = n * h * w
 
     def vjp(g):
+        # ``g`` may be shared with another branch (``add`` hands one array to
+        # both parents), so it is only read. Means are sums divided by m,
+        # which is how ``np.mean`` computes them.
         gx = ggamma = gbeta = None
+        g_sum = g.sum(axis=axes)
+        gxh = gxh_sum = None
+        if gamma.requires_grad or (x.requires_grad and mode == "train"):
+            gxh = g * xhat
+            gxh_sum = gxh.sum(axis=axes)
         if beta.requires_grad:
-            gbeta = g.sum(axis=axes)
+            gbeta = g_sum
         if gamma.requires_grad:
-            ggamma = (g * xhat).sum(axis=axes)
+            ggamma = gxh_sum
         if x.requires_grad:
             scale_c = (gamma.value * inv_std)[None, :, None, None]
             if mode == "train":
-                g_mean = g.mean(axis=axes)[None, :, None, None]
-                gxh_mean = (g * xhat).mean(axis=axes)[None, :, None, None]
-                gx = scale_c * (g - g_mean - xhat * gxh_mean)
+                centered = np.subtract(g, (g_sum / m)[None, :, None, None], out=gxh)
+                gx = xhat * (gxh_sum / m)[None, :, None, None]
+                np.subtract(centered, gx, out=gx)
+                np.multiply(scale_c, gx, out=gx)
             else:
                 gx = scale_c * g
         return gx, ggamma, gbeta
@@ -337,12 +326,22 @@ def relu(x):
     """Elementwise max(0, x); subgradient at 0 is 0."""
     x = _as_node(x)
     out = np.maximum(x.value, 0.0)
-    mask = x.value > 0.0
 
     def vjp(g):
-        return (g * mask,)
+        # out > 0 exactly where x > 0 (NaN included), so no mask is kept.
+        return (g * (out > 0.0),)
 
     return _result(out, "relu", (x,), vjp)
+
+
+def conv_bn_relu(x, weight, bias, gamma, beta, mode="train", running=None):
+    """The Conv-BN-ReLU block all three networks stack: pad-1 conv2d, batchnorm2d, relu.
+
+    Built from the three ops through this module's names, so each stays its
+    own graph node.
+    """
+    h = conv2d(x, weight, bias, pad=1)
+    return relu(batchnorm2d(h, gamma, beta, mode=mode, running=running))
 
 
 def sigmoid(x):
@@ -696,28 +695,37 @@ def _topo_order(root):
 
 
 def backward(loss):
-    """Populate ``grad`` on every reachable node that requires gradients.
+    """Populate ``grad`` on every reachable leaf that requires gradients.
 
-    ``loss`` must be a scalar node. Each graph supports one backward pass;
-    a repeated call on the same loss raises.
+    ``loss`` must be a scalar node. Gradients of interior nodes, and each
+    node's vjp closure with the arrays it captured, are released as soon as
+    the vjp has run, so only leaves (parameters and ``requires_grad``
+    leaves) keep ``grad``. Each graph supports one backward pass: a graph
+    that reaches any non-leaf node of a backpropagated graph raises. Leaves
+    are never consumed, so parameters serve one graph after another.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward: loss must be a Node")
     if loss.value.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.value.shape}")
-    if loss._consumed:
-        raise RuntimeError("backward: this loss was already backpropagated; rebuild the graph")
     if not np.all(np.isfinite(loss.value)):
         raise ValueError("backward: loss is not finite")
-    loss._consumed = True
 
     order = _topo_order(loss)
+    if any(node._consumed for node in order):
+        raise RuntimeError("backward: this graph was already backpropagated; rebuild the graph")
+    for node in order:
+        if node.parents:
+            node._consumed = True
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node.grad is None or node._vjp is None:
+        vjp, g_out = node._vjp, node.grad
+        if vjp is None:
             continue
-        grads = node._vjp(node.grad)
-        for p, g in zip(node.parents, grads):
+        node._vjp = node.grad = None
+        if g_out is None:
+            continue
+        for p, g in zip(node.parents, vjp(g_out)):
             if g is None or not p.requires_grad:
                 continue
             if p.grad is None:
@@ -762,6 +770,10 @@ class ParamSet:
 
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())
+
+    def conv_bn(self, prefix):
+        """The conv weight, conv bias, bn gamma and bn beta nodes of the block ``prefix``."""
+        return tuple(self[f"{prefix}.{part}"] for part in ("conv.weight", "conv.bias", "bn.gamma", "bn.beta"))
 
 
 def adam_step(params: ParamSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

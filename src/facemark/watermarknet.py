@@ -160,12 +160,6 @@ def build_model(config, seed=0):
     return model
 
 
-def _conv_bn_relu(pset, prefix, x, mode, stats):
-    h = tg.conv2d(x, pset[f"{prefix}.conv.weight"], pset[f"{prefix}.conv.bias"], stride=1, pad=1)
-    h = tg.batchnorm2d(h, pset[f"{prefix}.bn.gamma"], pset[f"{prefix}.bn.beta"], mode=mode, running=stats)
-    return tg.relu(h)
-
-
 def _message_planes(messages, n, h, w, length):
     msgs = np.asarray(messages, dtype=np.float64)
     if msgs.shape != (n, length):
@@ -189,9 +183,9 @@ def forward_encoder(model, images, messages, mode="train"):
     msg_node = _message_planes(messages, n, h, w, cfg.message_length)
     out = tg.concat_channels(x, msg_node)
     for i in range(cfg.encoder_blocks):
-        out = _conv_bn_relu(model.encoder, f"enc.block{i}", out, mode, model.enc_stats[i])
+        out = tg.conv_bn_relu(out, *model.encoder.conv_bn(f"enc.block{i}"), mode, model.enc_stats[i])
     fused = tg.concat_channels(tg.concat_channels(out, x), msg_node)
-    final = tg.conv2d(fused, model.encoder["enc.out.weight"], model.encoder["enc.out.bias"], stride=1, pad=1)
+    final = tg.conv2d(fused, model.encoder["enc.out.weight"], model.encoder["enc.out.bias"], pad=1)
     return tg.sigmoid(final)
 
 
@@ -206,8 +200,8 @@ def forward_decoder(model, images, mode="train"):
         raise ValueError(f"decoder needs at least {MIN_DECODE_SIDE}x{MIN_DECODE_SIDE} pixels, got {h}x{w}")
     out = x
     for i in range(cfg.decoder_blocks):
-        out = _conv_bn_relu(model.decoder, f"dec.block{i}", out, mode, model.dec_stats[i])
-    out = _conv_bn_relu(model.decoder, "dec.bits", out, mode, model.dec_stats[cfg.decoder_blocks])
+        out = tg.conv_bn_relu(out, *model.decoder.conv_bn(f"dec.block{i}"), mode, model.dec_stats[i])
+    out = tg.conv_bn_relu(out, *model.decoder.conv_bn("dec.bits"), mode, model.dec_stats[cfg.decoder_blocks])
     pooled = tg.global_avg_pool(out)
     return tg.affine(pooled, model.decoder["dec.fc.weight"], model.decoder["dec.fc.bias"])
 
