@@ -12,7 +12,8 @@ format (9 significant digits) round-trips exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,12 +70,31 @@ class Embedding:
 
 @dataclass
 class ScoreSet:
-    """Genuine and imposter similarity scores for one pairing mode."""
+    """Genuine and imposter similarity scores for one pairing mode.
+
+    ``genuine`` and ``imposter`` keep pair order (means, standard deviations
+    and Welch's test sum them in that order). Each side is also sorted once,
+    as float64, into ``genuine_sorted`` and ``imposter_sorted`` when the set
+    is built; :func:`eer` and :func:`tar_at_far` read only those. Replace
+    the arrays by building a new ``ScoreSet``, not by assignment.
+
+    ``imposter_candidates`` is the imposter pair count before subsampling;
+    it equals ``imposter.size`` when nothing was dropped.
+    """
 
     genuine: np.ndarray
     imposter: np.ndarray
     pairing: str
     skipped_identities: int = 0
+    imposter_candidates: int | None = None
+    genuine_sorted: np.ndarray = field(init=False, repr=False, compare=False)
+    imposter_sorted: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.genuine_sorted = np.sort(np.asarray(self.genuine, dtype=np.float64))
+        self.imposter_sorted = np.sort(np.asarray(self.imposter, dtype=np.float64))
+        if self.imposter_candidates is None:
+            self.imposter_candidates = self.imposter_sorted.size
 
 
 @dataclass
@@ -82,7 +102,9 @@ class VerificationReport:
     """One operating point plus distribution statistics for a pairing mode.
 
     ``skipped_identities`` counts the identities the mode had no genuine
-    pair for; it is reported on stderr, not written to the report file.
+    pair for and ``imposter_candidates`` the imposter pairs before
+    subsampling; both are reported on stderr, not written to the report
+    file.
     """
 
     pairing: str
@@ -102,6 +124,7 @@ class VerificationReport:
     t_p: float | None = None
     error: str | None = None
     skipped_identities: int = 0
+    imposter_candidates: int = 0
 
 
 def cosine_similarity(a, b):
@@ -163,7 +186,8 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     watermarked-original mode uses ordered (probe, reference) pairs.
 
     ``pairs_per_id`` > 0 caps genuine pairs per identity (seeded choice);
-    imposter pairs above ``max_imposter`` are uniformly subsampled.
+    imposter pairs above ``max_imposter`` are uniformly subsampled, and the
+    count before subsampling is kept as ``imposter_candidates``.
 
     Scores come from one float64 Gram matrix of the probe and reference
     vectors, so each lies within 1e-15 of :func:`cosine_similarity` on the
@@ -213,12 +237,14 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     else:
         r_id = np.repeat(np.arange(len(identities)), np.diff(r_off))
         a, b = np.nonzero(p_id[:, None] != r_id[None, :])
-    if a.size > max_imposter:
-        idx = rng.choice(a.size, size=max_imposter, replace=False)
+    candidates = a.size
+    if candidates > max_imposter:
+        idx = rng.choice(candidates, size=max_imposter, replace=False)
         a, b = a[idx], b[idx]
     imposter = score(a, b)
 
-    return ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped)
+    return ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped,
+                    imposter_candidates=candidates)
 
 
 def tar_at_far(scores, far):
@@ -228,11 +254,14 @@ def tar_at_far(scores, far):
     candidate with FAR(tau) <= far wins and the achieved FAR is reported.
     When no candidate qualifies (massive ties), tau is the +inf sentinel
     with TAR 0. Raises when the imposter sample cannot resolve ``far``.
+
+    Works on the score set's sorted sides: the first qualifying sorted
+    index is bisected, moved to the next first occurrence of a distinct
+    score, and the genuines at or above tau are counted by one search.
     """
     if not (0.0 < far <= 1.0):
         raise ValueError(f"far must lie in (0, 1], got {far}")
-    imp = np.sort(np.asarray(scores.imposter, dtype=np.float64))
-    gen = np.asarray(scores.genuine, dtype=np.float64)
+    imp, gen = scores.imposter_sorted, scores.genuine_sorted
     n_imp = imp.size
     n_gen = gen.size
     if n_gen == 0 or n_imp == 0:
@@ -242,15 +271,16 @@ def tar_at_far(scores, far):
             f"FAR target {far} is unresolvable with {n_imp} imposter scores; "
             f"need at least {math.ceil(1.0 / far)}"
         )
-    candidates, first_idx = np.unique(imp, return_index=True)
-    fars = (n_imp - first_idx) / n_imp  # fraction of imposters >= candidate
-    ok = np.nonzero(fars <= far)[0]
-    if ok.size == 0:
+    # FAR at sorted index i is the fraction of imposters >= imp[i] when i
+    # is the first occurrence of its score; it falls as i rises.
+    i = bisect_left(range(n_imp), True, key=lambda j: (n_imp - j) / n_imp <= far)
+    if 0 < i < n_imp and imp[i] == imp[i - 1]:
+        i = int(np.searchsorted(imp, imp[i], side="right"))
+    if i == n_imp:
         return 0.0, float("inf"), 0.0
-    k = ok[0]
-    tau = float(candidates[k])
-    achieved = float(fars[k])
-    tar = float(np.count_nonzero(gen >= tau) / n_gen)
+    tau = float(imp[i])
+    achieved = (n_imp - i) / n_imp
+    tar = (n_gen - int(np.searchsorted(gen, tau, side="left"))) / n_gen
     return tar, tau, achieved
 
 
@@ -261,31 +291,48 @@ def eer(scores):
     of imposters >= t and FRR(t) the fraction of genuines < t. The rate at
     the |FAR - FRR| minimum is returned, linearly interpolating between
     adjacent thresholds when the curves cross between samples.
+
+    FAR(t) - FRR(t) never rises with t, so the first threshold where it is
+    <= 0 is found by bisecting each sorted side of the score set; the
+    union of thresholds is never built.
     """
-    gen = np.asarray(scores.genuine, dtype=np.float64)
-    imp = np.asarray(scores.imposter, dtype=np.float64)
+    gen, imp = scores.genuine_sorted, scores.imposter_sorted
     if gen.size == 0 or imp.size == 0:
         raise ValueError("eer requires non-empty genuine and imposter sets")
-    thresholds = np.unique(np.concatenate([gen, imp]))
-    imp_sorted = np.sort(imp)
-    gen_sorted = np.sort(gen)
-    far = 1.0 - np.searchsorted(imp_sorted, thresholds, side="left") / imp.size
-    frr = np.searchsorted(gen_sorted, thresholds, side="left") / gen.size
-    # Append the point past the largest score so a sign change always exists.
-    far = np.append(far, 0.0)
-    frr = np.append(frr, 1.0)
-    diff = far - frr
+
+    def rates(t):
+        far = 1.0 - int(np.searchsorted(imp, t, side="left")) / imp.size
+        frr = int(np.searchsorted(gen, t, side="left")) / gen.size
+        return far, frr
+
+    def crossed(t):
+        far, frr = rates(t)
+        return far - frr <= 0.0
+
+    def first_crossed(side):
+        j = bisect_left(side, True, key=crossed)
+        return side[j] if j < side.size else math.inf
+
+    def last_below(side, t):
+        j = int(np.searchsorted(side, t, side="left"))
+        return side[j - 1] if j else -math.inf
+
     # The first threshold where FAR no longer exceeds FRR: a tie there is
     # the EER; otherwise the curves crossed since the previous threshold.
-    # diff[0] is 1 (every imposter >= the smallest score, no genuine below
-    # it) and the appended point is -1, so 0 < k < len(diff).
-    k = int(np.flatnonzero(diff <= 0.0)[0])
-    if diff[k] == 0.0:
-        return float((far[k] + frr[k]) / 2.0)
-    t = diff[k - 1] / (diff[k - 1] - diff[k])
-    far_x = far[k - 1] + (far[k] - far[k - 1]) * t
-    frr_x = frr[k - 1] + (frr[k] - frr[k - 1]) * t
-    return float((far_x + frr_x) / 2.0)
+    # Past the largest score FAR is 0 and FRR 1, so a crossing always
+    # exists; at the smallest score FAR is 1 and FRR 0, so a previous
+    # threshold always exists.
+    t_k = min(first_crossed(gen), first_crossed(imp))
+    far_k, frr_k = rates(t_k) if t_k < math.inf else (0.0, 1.0)
+    diff_k = far_k - frr_k
+    if diff_k == 0.0:
+        return (far_k + frr_k) / 2.0
+    far_p, frr_p = rates(max(last_below(gen, t_k), last_below(imp, t_k)))
+    diff_p = far_p - frr_p
+    t = diff_p / (diff_p - diff_k)
+    far_x = far_p + (far_k - far_p) * t
+    frr_x = frr_p + (frr_k - frr_p) * t
+    return (far_x + frr_x) / 2.0
 
 
 # ---------------------------------------------------------------------------

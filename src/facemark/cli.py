@@ -225,6 +225,11 @@ def _cmd_verify(args):
     skipped = {r.pairing: r.skipped_identities for r in reports if r.skipped_identities}
     for mode, count in skipped.items():
         print(f"pairing {mode}: skipped {count} identities with too few images", file=sys.stderr)
+    subsampled = {r.pairing: (r.imposter_count, r.imposter_candidates) for r in reports
+                  if r.imposter_candidates > r.imposter_count}
+    for mode, (scored, candidates) in subsampled.items():
+        print(f"pairing {mode}: scored {scored} of {candidates} imposter pairs (max_imposter={options.max_imposter})",
+              file=sys.stderr)
     for report in reports:
         if report.error:
             print(f"report ({report.pairing}, far={report.far_target}) incomplete: {report.error}", file=sys.stderr)

@@ -275,20 +275,40 @@ def build_sweep_spec(mapping, seed_override=None):
 
 @dataclass(frozen=True)
 class VerifyOptions:
+    """Pairing modes, FAR targets and sampling caps for :func:`run_verification`.
+
+    Checked when built, so a bad value fails before any pair is scored.
+    """
+
     far_targets: tuple = (0.01,)
     modes: tuple = bioeval.PAIRING_MODES
     pairs_per_id: int = 0
     max_imposter: int = 1_000_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_imposter < 1:
+            raise ValueError(f"verify config: max_imposter must be >= 1, got {self.max_imposter}")
+        if self.pairs_per_id < 0:
+            raise ValueError(f"verify config: pairs_per_id must be >= 0, got {self.pairs_per_id}")
+        if not self.far_targets:
+            raise ValueError("verify config: far_targets must not be empty")
+        for far in self.far_targets:
+            if not (0.0 < far <= 1.0):
+                raise ValueError(f"verify config: far_targets values must lie in (0, 1], got {far}")
+        if not self.modes:
+            raise ValueError("verify config: modes must not be empty")
+        for mode in self.modes:
+            if mode not in bioeval.PAIRING_MODES:
+                raise ValueError(
+                    f"verify config: modes has unknown pairing mode {mode!r}; expected one of {bioeval.PAIRING_MODES}"
+                )
+
 
 def build_verify_options(mapping, seed_override=None):
     typed = _typed_mapping(mapping, _VERIFY_KEYS, "verify config")
     if seed_override is not None:
         typed["seed"] = int(seed_override)
-    for mode in typed.get("modes", ()):  # fail early on typos
-        if mode not in bioeval.PAIRING_MODES:
-            raise ValueError(f"verify config: unknown pairing mode {mode!r}")
     return VerifyOptions(**typed)
 
 
@@ -701,6 +721,7 @@ def run_verification(embeddings, options=VerifyOptions(), baseline=None):
                 t_df=t_df,
                 t_p=t_p,
                 skipped_identities=scores.skipped_identities,
+                imposter_candidates=scores.imposter_candidates,
                 **stats,
             )
             try:

@@ -1,5 +1,6 @@
-"""Procedural test imagery: textures for watermark training and a small
-identity-structured face-stand-in set for verification experiments.
+"""Procedural test data: textures for watermark training, a small
+identity-structured face-stand-in set for verification experiments, and
+identity-structured embeddings for the verification metrics.
 
 Pixel values stay inside [0.08, 0.92] so the sigmoid-output encoder never
 has to chase saturated targets.
@@ -58,3 +59,24 @@ def identity_images(num_identities, images_per_id, size=32, seed=0, channels=3):
             images.append(np.clip(img, 0.08, 0.92))
             labels.append(f"id{ident:04d}")
     return np.stack(images), labels
+
+
+def identity_embeddings(num_identities, images_per_id, dim=8, seed=0):
+    """Original and watermarked embeddings with identity structure.
+
+    Each identity has a standard-normal centre; each image adds unit noise
+    per component and its watermarked copy adds 0.1 on top, so genuine and
+    imposter cosine scores overlap. Originals and watermarked copies keep
+    the same per-identity order, as positional pairing expects.
+    """
+    from facemark.bioeval import Embedding
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for ident in range(num_identities):
+        label = f"id{ident:04d}"
+        originals = rng.standard_normal(dim) + rng.standard_normal((images_per_id, dim))
+        marked = originals + 0.1 * rng.standard_normal((images_per_id, dim))
+        out += [Embedding(v, label, "original") for v in originals]
+        out += [Embedding(v, label, "watermarked") for v in marked]
+    return out

@@ -1,7 +1,9 @@
 """Verification scoring, operating points, statistics and the EMB1 reader."""
 
+import math
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _synth import identity_embeddings
 from facemark import bioeval as be
-from facemark import cli
+from facemark import cli, pipeline
 from facemark.containers import write_container
+
+DATA = Path(__file__).parent / "data"
 
 SCORE_TOL = 1e-15  # pair_scores' documented bound against cosine_similarity
 
@@ -98,6 +103,69 @@ def loop_eer(scores):
             return float((far_x + frr_x) / 2.0)
     k = int(np.argmin(np.abs(diff)))
     return float((far[k] + frr[k]) / 2.0)
+
+
+def oracle_tar_at_far(scores, far):
+    """tar_at_far as it was before the sorted score sets: re-sorts per call."""
+    if not (0.0 < far <= 1.0):
+        raise ValueError(f"far must lie in (0, 1], got {far}")
+    imp = np.sort(np.asarray(scores.imposter, dtype=np.float64))
+    gen = np.asarray(scores.genuine, dtype=np.float64)
+    n_imp = imp.size
+    n_gen = gen.size
+    if n_gen == 0 or n_imp == 0:
+        raise ValueError("tar_at_far requires non-empty genuine and imposter sets")
+    if n_imp < 1.0 / far:
+        raise ValueError(
+            f"FAR target {far} is unresolvable with {n_imp} imposter scores; "
+            f"need at least {math.ceil(1.0 / far)}"
+        )
+    candidates, first_idx = np.unique(imp, return_index=True)
+    fars = (n_imp - first_idx) / n_imp  # fraction of imposters >= candidate
+    ok = np.nonzero(fars <= far)[0]
+    if ok.size == 0:
+        return 0.0, float("inf"), 0.0
+    k = ok[0]
+    tau = float(candidates[k])
+    achieved = float(fars[k])
+    tar = float(np.count_nonzero(gen >= tau) / n_gen)
+    return tar, tau, achieved
+
+
+def oracle_eer(scores):
+    """eer as it was before the sorted score sets: scans the union of thresholds."""
+    gen = np.asarray(scores.genuine, dtype=np.float64)
+    imp = np.asarray(scores.imposter, dtype=np.float64)
+    if gen.size == 0 or imp.size == 0:
+        raise ValueError("eer requires non-empty genuine and imposter sets")
+    thresholds = np.unique(np.concatenate([gen, imp]))
+    imp_sorted = np.sort(imp)
+    gen_sorted = np.sort(gen)
+    far = 1.0 - np.searchsorted(imp_sorted, thresholds, side="left") / imp.size
+    frr = np.searchsorted(gen_sorted, thresholds, side="left") / gen.size
+    # Append the point past the largest score so a sign change always exists.
+    far = np.append(far, 0.0)
+    frr = np.append(frr, 1.0)
+    diff = far - frr
+    # The first threshold where FAR no longer exceeds FRR: a tie there is
+    # the EER; otherwise the curves crossed since the previous threshold.
+    # diff[0] is 1 (every imposter >= the smallest score, no genuine below
+    # it) and the appended point is -1, so 0 < k < len(diff).
+    k = int(np.flatnonzero(diff <= 0.0)[0])
+    if diff[k] == 0.0:
+        return float((far[k] + frr[k]) / 2.0)
+    t = diff[k - 1] / (diff[k - 1] - diff[k])
+    far_x = far[k - 1] + (far[k] - far[k - 1]) * t
+    frr_x = frr[k - 1] + (frr[k] - frr[k - 1]) * t
+    return float((far_x + frr_x) / 2.0)
+
+
+def outcome(fn, *args):
+    """A metric's result, or its ValueError message, for exact comparison."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def brute_tar_at_far(gen, imp, far):
@@ -279,6 +347,109 @@ class TestEer:
             be.eer(be.ScoreSet(np.array([]), np.array([0.1]), "m"))
 
 
+class TestSortedScoreSet:
+    def test_each_side_sorted_once_and_pair_order_kept(self):
+        gen, imp = np.array([0.5, 0.1, 0.3]), np.array([0.2, -0.4, 0.9, 0.0])
+        scores = be.ScoreSet(gen, imp, "m")
+        np.testing.assert_array_equal(scores.genuine_sorted, np.sort(gen))
+        np.testing.assert_array_equal(scores.imposter_sorted, np.sort(imp))
+        assert scores.genuine is gen and scores.imposter is imp
+        assert scores.genuine_sorted.dtype == scores.imposter_sorted.dtype == np.float64
+
+    def test_imposter_candidates_default_to_the_scored_count(self):
+        assert be.ScoreSet(np.ones(2), np.zeros(7), "m").imposter_candidates == 7
+        assert be.ScoreSet(np.ones(2), np.zeros(7), "m", 0, 40).imposter_candidates == 40
+
+    @pytest.mark.parametrize("pairing", be.PAIRING_MODES)
+    def test_pair_scores_counts_candidates_before_subsampling(self, pairing):
+        embs = make_embeddings(LAYOUTS["balanced"])
+        full = be.pair_scores(embs, pairing)
+        capped = be.pair_scores(embs, pairing, max_imposter=37, seed=3)
+        assert full.imposter_candidates == full.imposter.size
+        assert capped.imposter_candidates == full.imposter.size
+        assert capped.imposter.size == 37
+
+
+FARS = (1.0, 0.5, 0.25, 0.1, 0.05, 0.01)
+
+
+class TestMetricsMatchOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+        st.lists(st.integers(-6, 6), min_size=1, max_size=120),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_equal_on_tie_heavy_scores(self, gen, imp, levels, data):
+        scores = be.ScoreSet(np.array(gen) / levels, np.array(imp) / levels, "m")
+        assert be.eer(scores) == oracle_eer(scores)
+        k = data.draw(st.integers(1, len(imp)))
+        for far in FARS + (k / len(imp), data.draw(st.floats(1e-3, 1.0))):
+            assert outcome(be.tar_at_far, scores, far) == outcome(oracle_tar_at_far, scores, far)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_on_continuous_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        gen = rng.normal(0.5, 0.2, rng.integers(1, 300))
+        imp = rng.normal(0.0, 0.2, rng.integers(100, 3000))
+        scores = be.ScoreSet(gen, imp, "m")
+        assert be.eer(scores) == oracle_eer(scores)
+        for far in FARS + (1 / imp.size, 7 / imp.size):
+            assert outcome(be.tar_at_far, scores, far) == outcome(oracle_tar_at_far, scores, far)
+
+    def assert_equal(self, gen, imp, fars=FARS):
+        scores = be.ScoreSet(np.asarray(gen, dtype=np.float64), np.asarray(imp, dtype=np.float64), "m")
+        assert be.eer(scores) == oracle_eer(scores)
+        for far in fars:
+            assert outcome(be.tar_at_far, scores, far) == outcome(oracle_tar_at_far, scores, far)
+        return scores
+
+    def test_far_target_exactly_k_over_n(self):
+        imp = np.arange(40) / 40
+        scores = self.assert_equal([0.3, 0.6, 0.9], imp, fars=[k / 40 for k in range(1, 41)])
+        assert be.tar_at_far(scores, 4 / 40) == (1 / 3, 36 / 40, 4 / 40)
+
+    def test_far_target_exactly_k_over_n_inside_a_tie(self):
+        # Sorted index 36 is the third of four 0.875s: move on to 0.95.
+        imp = np.concatenate([np.arange(34) / 40, np.full(4, 0.875), [0.95, 0.975]])
+        scores = self.assert_equal([0.9, 0.96, 0.99], imp, fars=[k / 40 for k in range(1, 41)])
+        assert be.tar_at_far(scores, 4 / 40) == (2 / 3, 0.95, 2 / 40)
+
+    def test_all_equal_imposters_give_the_sentinel(self):
+        scores = self.assert_equal([0.2, 0.5, 0.7], np.full(50, 0.5), fars=(0.02, 0.5, 0.99, 1.0))
+        assert be.tar_at_far(scores, 0.5) == (0.0, float("inf"), 0.0)
+        assert be.tar_at_far(scores, 1.0) == (2 / 3, 0.5, 1.0)
+
+    def test_single_genuine(self):
+        for g in (-1.0, 0.0, 0.33, 0.5, 2.0):
+            self.assert_equal([g], np.linspace(-0.5, 0.5, 101))
+
+    def test_genuines_wholly_above_the_imposters(self):
+        scores = self.assert_equal([0.8, 0.9, 0.95], np.linspace(-0.5, 0.5, 100))
+        assert be.eer(scores) == 0.0
+
+    def test_genuines_wholly_below_the_imposters(self):
+        scores = self.assert_equal([-0.9, -0.8], np.linspace(-0.5, 0.5, 100))
+        assert be.eer(scores) == oracle_eer(scores) > 0.5
+
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    def test_ties_straddling_the_crossing(self, shift):
+        # Genuines and imposters share a block of tied scores around the crossing.
+        tied = np.full(6, 0.5)
+        gen = np.concatenate([tied, 0.5 + np.arange(1, 7 + shift) / 20])
+        imp = np.concatenate([tied, 0.5 - np.arange(1, 7 - shift) / 20])
+        self.assert_equal(gen, imp)
+
+    def test_errors_keep_their_messages(self):
+        scores = be.ScoreSet(np.array([0.8]), np.arange(50) / 50, "m")
+        for far in (0.0, -0.1, 1.5, float("nan"), 0.01):
+            assert outcome(be.tar_at_far, scores, far) == outcome(oracle_tar_at_far, scores, far)
+        empty = be.ScoreSet(np.array([]), np.array([0.1]), "m")
+        assert outcome(be.eer, empty) == outcome(oracle_eer, empty)
+        assert outcome(be.tar_at_far, empty, 1.0) == outcome(oracle_tar_at_far, empty, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
@@ -325,8 +496,6 @@ def thin_embeddings():
 
 class TestVerification:
     def test_reports_carry_skipped_identities(self):
-        from facemark import pipeline
-
         options = pipeline.VerifyOptions(far_targets=(0.1, 0.2))
         reports = pipeline.run_verification(thin_embeddings(), options)
         assert len(reports) == 6
@@ -341,6 +510,93 @@ class TestVerification:
         for mode in be.PAIRING_MODES:
             assert f"pairing {mode}: skipped 1 identities" in err
         assert "skipped" not in out.read_text()
+
+
+    def test_reports_equal_an_oracle_run(self, monkeypatch):
+        # 100 identities x 5 images x 2 sources; the cap subsamples every mode.
+        embeddings = identity_embeddings(100, 5, dim=16, seed=2)
+        options = pipeline.VerifyOptions(far_targets=(1e-4, 1e-3, 0.01, 0.2), max_imposter=100_000, seed=4)
+        reports = pipeline.run_verification(embeddings, options)
+        monkeypatch.setattr(be, "eer", oracle_eer)
+        monkeypatch.setattr(be, "tar_at_far", oracle_tar_at_far)
+        want = pipeline.run_verification(embeddings, options)
+        assert [asdict(r) for r in reports] == [asdict(r) for r in want]
+        candidates = {"original-original": 123_750, "watermarked-original": 247_500,
+                      "watermarked-watermarked": 123_750}
+        for r in reports:
+            assert r.error is None and r.imposter_count == 100_000
+            assert r.imposter_candidates == candidates[r.pairing]
+
+    def test_cli_reports_subsampling_on_stderr_only(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        be.save_embeddings(identity_embeddings(6, 3, seed=1), path)
+        config = tmp_path / "verify.cfg"
+        config.write_text("far_targets = 0.1\nmax_imposter = 100\n")
+        out = tmp_path / "reports.txt"
+        assert cli.cli_dispatch(["verify", "--config", str(config), "--embeddings", str(path), str(out)]) == 0
+        err = capsys.readouterr().err
+        # 18 images per source: 153 - 6 * 3 = 135 unordered and 18 * 18 - 6 * 9 = 270 ordered imposter pairs.
+        assert "pairing original-original: scored 100 of 135 imposter pairs (max_imposter=100)" in err
+        assert "pairing watermarked-original: scored 100 of 270 imposter pairs (max_imposter=100)" in err
+        assert "pairing watermarked-watermarked: scored 100 of 135 imposter pairs (max_imposter=100)" in err
+        assert "candidates" not in out.read_text()
+
+    def test_cli_silent_when_nothing_is_subsampled(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        be.save_embeddings(identity_embeddings(6, 3, seed=1), path)
+        assert cli.cli_dispatch(["verify", "--embeddings", str(path), str(tmp_path / "out.txt")]) == 0
+        assert "imposter pairs" not in capsys.readouterr().err
+
+    def test_golden_report(self, tmp_path):
+        embeddings = DATA / "verify_golden_embeddings.txt"
+        regenerated = tmp_path / "embeddings.txt"
+        be.save_embeddings(identity_embeddings(12, 4, dim=8, seed=11), regenerated)
+        assert regenerated.read_bytes() == embeddings.read_bytes()
+        out = tmp_path / "report.txt"
+        argv = ["verify", "--config", str(DATA / "verify_golden.cfg"), "--embeddings", str(embeddings), str(out)]
+        assert cli.cli_dispatch(argv) == 0
+        assert out.read_bytes() == (DATA / "verify_golden_report.txt").read_bytes()
+
+
+class TestVerifyOptions:
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"max_imposter": 0}, "max_imposter"),
+        ({"max_imposter": -5}, "max_imposter"),
+        ({"pairs_per_id": -1}, "pairs_per_id"),
+        ({"far_targets": ()}, "far_targets"),
+        ({"far_targets": (0.01, 1.5)}, "far_targets"),
+        ({"far_targets": (0.0,)}, "far_targets"),
+        ({"far_targets": (float("nan"),)}, "far_targets"),
+        ({"modes": ()}, "modes"),
+        ({"modes": ("original-original", "original-marked")}, "modes"),
+    ])
+    def test_rejected_in_code(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^verify config: {key} "):
+            pipeline.VerifyOptions(**kwargs)
+
+    def test_edges_accepted(self):
+        pipeline.VerifyOptions(far_targets=(1.0, 1e-9), modes=("watermarked-original",), pairs_per_id=0, max_imposter=1)
+
+    @pytest.mark.parametrize("line, key", [
+        ("max_imposter = 0", "max_imposter"),
+        ("pairs_per_id = -1", "pairs_per_id"),
+        ("far_targets = 1.5", "far_targets"),
+        ("far_targets = 0.01,nan", "far_targets"),
+        ("far_targets = ,", "far_targets"),
+        ("modes = ,", "modes"),
+        ("modes = original-marked", "modes"),
+    ])
+    def test_cli_exits_1_before_scoring(self, tmp_path, capsys, line, key):
+        path = tmp_path / "emb.txt"
+        be.save_embeddings(thin_embeddings(), path)
+        config = tmp_path / "verify.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "reports.txt"
+        assert cli.cli_dispatch(["verify", "--config", str(config), "--embeddings", str(path), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: verify config: {key} " in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
