@@ -68,15 +68,16 @@ class Embedding:
             raise ValueError("embedding is missing its identity label")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreSet:
     """Genuine and imposter similarity scores for one pairing mode.
 
     ``genuine`` and ``imposter`` keep pair order (means, standard deviations
     and Welch's test sum them in that order). Each side is also sorted once,
     as float64, into ``genuine_sorted`` and ``imposter_sorted`` when the set
-    is built; :func:`eer` and :func:`tar_at_far` read only those. Replace
-    the arrays by building a new ``ScoreSet``, not by assignment.
+    is built; :func:`eer` and :func:`tar_at_far` read only those. The set is
+    frozen so that the sorted copies cannot fall out of step with the
+    scores.
 
     ``imposter_candidates`` is the imposter pair count before subsampling;
     it equals ``imposter.size`` when nothing was dropped.
@@ -91,10 +92,11 @@ class ScoreSet:
     imposter_sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.genuine_sorted = np.sort(np.asarray(self.genuine, dtype=np.float64))
-        self.imposter_sorted = np.sort(np.asarray(self.imposter, dtype=np.float64))
+        imposter_sorted = np.sort(np.asarray(self.imposter, dtype=np.float64))
+        object.__setattr__(self, "genuine_sorted", np.sort(np.asarray(self.genuine, dtype=np.float64)))
+        object.__setattr__(self, "imposter_sorted", imposter_sorted)
         if self.imposter_candidates is None:
-            self.imposter_candidates = self.imposter_sorted.size
+            object.__setattr__(self, "imposter_candidates", imposter_sorted.size)
 
 
 @dataclass

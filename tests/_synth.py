@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from facemark.bioeval import Embedding
+
 
 def texture_images(count, size=32, seed=0, channels=3):
     """Smooth random sinusoid/gradient mixtures, (count, C, size, size)."""
@@ -69,8 +71,6 @@ def identity_embeddings(num_identities, images_per_id, dim=8, seed=0):
     imposter cosine scores overlap. Originals and watermarked copies keep
     the same per-identity order, as positional pairing expects.
     """
-    from facemark.bioeval import Embedding
-
     rng = np.random.default_rng(seed)
     out = []
     for ident in range(num_identities):

@@ -355,6 +355,8 @@ class TestSortedScoreSet:
         np.testing.assert_array_equal(scores.imposter_sorted, np.sort(imp))
         assert scores.genuine is gen and scores.imposter is imp
         assert scores.genuine_sorted.dtype == scores.imposter_sorted.dtype == np.float64
+        with pytest.raises(AttributeError):
+            scores.imposter = np.zeros(4)
 
     def test_imposter_candidates_default_to_the_scored_count(self):
         assert be.ScoreSet(np.ones(2), np.zeros(7), "m").imposter_candidates == 7
