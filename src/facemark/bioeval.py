@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensorgrad as tg
-from .containers import read_container, write_container
+from .containers import load_state, read_container, save_state
 
 __all__ = [
     "Embedding",
@@ -475,42 +475,18 @@ class EmbedderModel:
 
 
 def _embedder_layout(cfg):
-    layout = []
-    c_in = cfg.image_channels
-    for i in range(_EMBEDDER_BLOCKS):
-        layout += [
-            (f"emb.block{i}.conv.weight", (cfg.base_channels, c_in, 3, 3)),
-            (f"emb.block{i}.conv.bias", (cfg.base_channels,)),
-            (f"emb.block{i}.bn.gamma", (cfg.base_channels,)),
-            (f"emb.block{i}.bn.beta", (cfg.base_channels,)),
-        ]
-        c_in = cfg.base_channels
-    layout += [
+    return tg.conv_bn_stack_layout("emb", _EMBEDDER_BLOCKS, cfg.image_channels, cfg.base_channels) + [
         ("emb.fc_embed.weight", (cfg.embed_dim, cfg.base_channels)),
         ("emb.fc_embed.bias", (cfg.embed_dim,)),
         ("emb.fc_class.weight", (cfg.num_classes, cfg.embed_dim)),
         ("emb.fc_class.bias", (cfg.num_classes,)),
     ]
-    return layout
 
 
 def _build_embedder(cfg, class_labels, seed=None):
-    params = tg.ParamSet()
-    rng = np.random.default_rng(seed if seed is not None else 0)
-    for name, shape in _embedder_layout(cfg):
-        if seed is None:
-            params.add(name, np.zeros(shape))
-            continue
-        if name.endswith("conv.weight"):
-            fan_in = int(np.prod(shape[1:]))
-            params.add(name, rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
-        elif name.endswith(".weight"):
-            params.add(name, rng.standard_normal(shape) * np.sqrt(2.0 / shape[1]))
-        elif name.endswith(".gamma"):
-            params.add(name, np.ones(shape))
-        else:
-            params.add(name, np.zeros(shape))
-    stats = [tg.RunningStats() for _ in range(_EMBEDDER_BLOCKS)]
+    """He-initialized from ``seed``; with no seed every parameter is zero."""
+    params = tg.init_params(_embedder_layout(cfg), None if seed is None else np.random.default_rng(seed))
+    stats = [tg.RunningStats() for _ in params.bn_slots()]
     return EmbedderModel(cfg, params, stats, list(class_labels))
 
 
@@ -647,16 +623,14 @@ def load_embeddings(path):
     return out
 
 
+def _embedder_state(model):
+    return list(model.params.items()), dict(zip(model.params.bn_slots(), model.stats))
+
+
 def save_embedder(model, path):
     """Persist the embedder in the EMB1 container."""
-    config = asdict(model.config)
-    config["class_labels"] = model.class_labels
-    tensors = [(name, node.value) for name, node in model.params.items()]
-    for i, stats in enumerate(model.stats):
-        if stats.populated:
-            tensors.append((f"emb.block{i}.bn.running_mean", stats.mean))
-            tensors.append((f"emb.block{i}.bn.running_var", stats.var))
-    write_container(path, EMBEDDER_MAGIC, config, model.step, tensors)
+    config = {**asdict(model.config), "class_labels": model.class_labels}
+    save_state(path, EMBEDDER_MAGIC, config, model.step, *_embedder_state(model))
 
 
 def load_embedder(path):
@@ -669,27 +643,5 @@ def load_embedder(path):
         raise ValueError(f"{path}: bad config block: {exc}") from exc
     model = _build_embedder(cfg, labels, seed=None)
     model.step = step
-    expected = dict(_embedder_layout(cfg))
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise ValueError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-    stat_slots = {f"emb.block{i}.bn": stats for i, stats in enumerate(model.stats)}
-    for name, arr in tensors.items():
-        if name in expected:
-            model.params[name].value[...] = arr
-            continue
-        base, _, kind = name.rpartition(".")
-        if base not in stat_slots or kind not in ("running_mean", "running_var"):
-            raise ValueError(f"{path}: unexpected tensor {name!r}")
-        if arr.shape != (cfg.base_channels,):
-            raise ValueError(f"{path}: tensor {name!r} has wrong shape {arr.shape}")
-        if kind == "running_mean":
-            stat_slots[base].mean = arr
-        else:
-            stat_slots[base].var = arr
-    for i, stats in enumerate(model.stats):
-        if (stats.mean is None) != (stats.var is None):
-            raise ValueError(f"{path}: running statistics for block {i} are incomplete")
+    load_state(path, tensors, *_embedder_state(model))
     return model

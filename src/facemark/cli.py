@@ -2,10 +2,13 @@
 
 Subcommands: ``train-wm``, ``train-embedder``, ``embed``, ``extract``,
 ``watermark-dataset``, ``sweep``, ``verify``. All take ``--config <path>``
-(plain-text key=value; schema in the README) where configuration applies,
-and ``--seed`` overrides the config seed. Exit codes: 0 success, 1 usage
-error, 2 runtime failure. Messages go to standard error; data goes to files
-or standard output only.
+(plain-text key=value) where configuration applies, and ``--seed`` overrides
+the config seed. The keys of ``train-wm``, ``verify`` and ``train-embedder``
+are the fields of ``pipeline.TrainConfig``, ``pipeline.VerifyOptions`` and
+``bioeval.EmbedderTrainConfig``; ``sweep`` takes ``seed``, ``repetitions``,
+``sweep_kinds`` and one ``<kind>_grid`` per transform (``pipeline._SWEEP_KEYS``).
+Exit codes: 0 success, 1 usage error, 2 runtime failure. Messages go to
+standard error; data goes to files or standard output only.
 """
 
 from __future__ import annotations
@@ -104,10 +107,6 @@ def _message_for_model(args, model):
     return msgcodec.validate_message(msg, model.config.message_length)
 
 
-def _load_one_image(path, channels):
-    return imageops.load_ppm(path) if channels == 3 else imageops.load_pgm(path)
-
-
 def _cmd_train_wm(args):
     try:
         config = pipeline.build_train_config(_read_config(args.config), seed_override=args.seed)
@@ -153,18 +152,15 @@ def _cmd_train_embedder(args):
 def _cmd_embed(args):
     model = wm.load_model(args.model)
     msg = _message_for_model(args, model)
-    image = _load_one_image(args.in_image, model.config.image_channels)
+    image = imageops.load_image(args.in_image, model.config.image_channels)
     marked = wm.encode(model, image, msg, mode="infer")
-    if model.config.image_channels == 3:
-        imageops.save_ppm(marked, args.out_image)
-    else:
-        imageops.save_pgm(marked, args.out_image)
+    imageops.save_image(marked, args.out_image)
     return 0
 
 
 def _cmd_extract(args):
     model = wm.load_model(args.model)
-    image = _load_one_image(args.in_image, model.config.image_channels)
+    image = imageops.load_image(args.in_image, model.config.image_channels)
     message = wm.extract(model, image)
     print(msgcodec.format_bits(message))
     return 0

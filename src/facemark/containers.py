@@ -9,6 +9,11 @@ Layout (little-endian throughout):
 * raw float32 values for each tensor in manifest order, C-contiguous.
 
 Weights are persisted at 32-bit precision and widened to float64 on load.
+
+Both model formats hold a state dict (:func:`save_state`, :func:`load_state`):
+the parameters in order, then each populated batchnorm's running statistics.
+A Conv-BN-ReLU block ``<block>`` has ``<block>.conv.weight/bias``,
+``<block>.bn.gamma/beta`` and ``<block>.bn.running_mean/var``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["write_container", "read_container"]
+__all__ = ["write_container", "read_container", "save_state", "load_state"]
 
 
 def write_container(path, magic, config, step, tensors):
@@ -72,3 +77,39 @@ def read_container(path, magic):
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} trailing bytes after last tensor")
     return header["config"], int(header["step"]), tensors
+
+
+def save_state(path, magic, config, step, params, stats):
+    """Write ``params`` ((name, Node) pairs), then each populated slot of ``stats`` ({slot: RunningStats})."""
+    tensors = [(name, node.value) for name, node in params]
+    for slot, running in stats.items():
+        if running.populated:
+            tensors += [(f"{slot}.running_mean", running.mean), (f"{slot}.running_var", running.var)]
+    write_container(path, magic, config, step, tensors)
+
+
+def load_state(path, tensors, params, stats):
+    """Fill ``params`` and ``stats`` (as for :func:`save_state`) from ``read_container``'s tensors.
+
+    Any missing, misshapen, unexpected or half-present tensor raises ValueError.
+    """
+    params = dict(params)
+    for name, node in params.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != node.value.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {node.value.shape}")
+    for name, arr in tensors.items():
+        if name in params:
+            params[name].value[...] = arr
+            continue
+        slot, _, kind = name.rpartition(".")
+        if slot not in stats or kind not in ("running_mean", "running_var"):
+            raise ValueError(f"{path}: unexpected tensor {name!r}")
+        setattr(stats[slot], "mean" if kind == "running_mean" else "var", arr)
+    for slot, running in stats.items():
+        channels = params[f"{slot}.gamma"].value.shape
+        if any(arr is not None and arr.shape != channels for arr in (running.mean, running.var)):
+            raise ValueError(f"{path}: running statistics for {slot!r} have wrong shape")
+        if (running.mean is None) != (running.var is None):
+            raise ValueError(f"{path}: running statistics for {slot!r} are incomplete")

@@ -26,6 +26,8 @@ __all__ = [
     "save_ppm",
     "load_pgm",
     "save_pgm",
+    "load_image",
+    "save_image",
     "crop_random",
     "crop_window",
     "resize_bilinear",
@@ -160,6 +162,19 @@ def save_pgm(img, path):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
         fh.write(raw[0].tobytes())
+
+
+def load_image(path, channels):
+    """Read a ``channels``-channel image: a P6 PPM for 3 channels, else a P5 PGM."""
+    return load_ppm(path) if channels == 3 else load_pgm(path)
+
+
+def save_image(img, path):
+    """Write a P6 PPM if ``img`` has 3 channels, else a P5 PGM."""
+    if np.shape(img)[:1] == (3,):
+        save_ppm(img, path)
+    else:
+        save_pgm(img, path)
 
 
 # ---------------------------------------------------------------------------

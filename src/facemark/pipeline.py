@@ -10,8 +10,9 @@ output files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -74,12 +75,12 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     p_aug: float = 0.5
-    aug_kinds: tuple = ("crop", "resize", "jpeg")
-    crop_range: tuple = (0.75, 1.0)
-    resize_range: tuple = (0.75, 1.0)
-    brightness_range: tuple = (1.0, 3.5)
-    contrast_range: tuple = (1.0, 3.5)
-    jpeg_range: tuple = (75, 100)
+    aug_kinds: tuple[str, ...] = ("crop", "resize", "jpeg")
+    crop_range: tuple[float, float] = (0.75, 1.0)
+    resize_range: tuple[float, float] = (0.75, 1.0)
+    brightness_range: tuple[float, float] = (1.0, 3.5)
+    contrast_range: tuple[float, float] = (1.0, 3.5)
+    jpeg_range: tuple[float, float] = (75, 100)
     seed: int = 0
     checkpoint_interval: int = 0
 
@@ -135,50 +136,27 @@ def read_config(path):
 
 
 def _convert(key, value, kind):
+    """Parse one config value by the annotation of the field it sets."""
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "float_pair":
-            parts = [float(v) for v in value.split(",")]
+        if kind in (int, float):
+            return kind(value)
+        if kind == tuple[float, float]:
+            parts = tuple(float(v) for v in value.split(","))
             if len(parts) != 2:
                 raise ValueError("expected two comma-separated numbers")
-            return tuple(parts)
-        if kind == "str_list":
-            return tuple(v.strip() for v in value.split(",") if v.strip())
-        if kind == "float_list":
-            return tuple(float(v) for v in value.split(",") if v.strip())
+            return parts
+        items = [v for v in value.split(",") if v.strip()]
+        return tuple(v.strip() for v in items) if kind == tuple[str, ...] else tuple(float(v) for v in items)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {value!r} ({exc})") from exc
-    raise AssertionError(kind)
 
 
-_TRAIN_KEYS = {
-    "steps": "int",
-    "batch_size": "int",
-    "image_size": "int",
-    "image_channels": "int",
-    "message_length": "int",
-    "base_channels": "int",
-    "encoder_blocks": "int",
-    "decoder_blocks": "int",
-    "recon_weight": "float",
-    "decode_weight": "float",
-    "lr": "float",
-    "beta1": "float",
-    "beta2": "float",
-    "eps": "float",
-    "p_aug": "float",
-    "aug_kinds": "str_list",
-    "crop_range": "float_pair",
-    "resize_range": "float_pair",
-    "brightness_range": "float_pair",
-    "contrast_range": "float_pair",
-    "jpeg_range": "float_pair",
-    "seed": "int",
-    "checkpoint_interval": "int",
-}
+def _config_keys(cls):
+    """The config keys of a config dataclass: each field's name and annotation."""
+    return {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+
+
+_TRAIN_KEYS = _config_keys(TrainConfig)
 
 
 def _typed_mapping(mapping, schema, context):
@@ -195,32 +173,16 @@ def build_train_config(mapping, seed_override=None):
     return TrainConfig(**kwargs)
 
 
+# Sweep keys name grids per transform kind, not SweepSpec fields.
 _SWEEP_KEYS = {
-    "seed": "int",
-    "repetitions": "int",
-    "sweep_kinds": "str_list",
-    "crop_grid": "float_list",
-    "resize_grid": "float_list",
-    "brightness_grid": "float_list",
-    "contrast_grid": "float_list",
-    "jpeg_grid": "float_list",
-}
-
-_VERIFY_KEYS = {
-    "seed": "int",
-    "far_targets": "float_list",
-    "modes": "str_list",
-    "pairs_per_id": "int",
-    "max_imposter": "int",
-}
-
-_EMBEDDER_KEYS = {
-    "seed": "int",
-    "embed_dim": "int",
-    "epochs": "int",
-    "lr": "float",
-    "batch_size": "int",
-    "base_channels": "int",
+    "seed": int,
+    "repetitions": int,
+    "sweep_kinds": tuple[str, ...],
+    "crop_grid": tuple[float, ...],
+    "resize_grid": tuple[float, ...],
+    "brightness_grid": tuple[float, ...],
+    "contrast_grid": tuple[float, ...],
+    "jpeg_grid": tuple[float, ...],
 }
 
 
@@ -280,8 +242,8 @@ class VerifyOptions:
     Checked when built, so a bad value fails before any pair is scored.
     """
 
-    far_targets: tuple = (0.01,)
-    modes: tuple = bioeval.PAIRING_MODES
+    far_targets: tuple[float, ...] = (0.01,)
+    modes: tuple[str, ...] = bioeval.PAIRING_MODES
     pairs_per_id: int = 0
     max_imposter: int = 1_000_000
     seed: int = 0
@@ -303,6 +265,10 @@ class VerifyOptions:
                 raise ValueError(
                     f"verify config: modes has unknown pairing mode {mode!r}; expected one of {bioeval.PAIRING_MODES}"
                 )
+
+
+_VERIFY_KEYS = _config_keys(VerifyOptions)
+_EMBEDDER_KEYS = _config_keys(bioeval.EmbedderTrainConfig)
 
 
 def build_verify_options(mapping, seed_override=None):
@@ -379,15 +345,9 @@ def save_manifest(manifest, path):
             fh.write(f"{rel},{identity}\n")
 
 
-def _load_image(path, channels):
-    if channels == 3:
-        return imageops.load_ppm(path)
-    return imageops.load_pgm(path)
-
-
 def load_manifest_images(manifest, channels=3):
     """Load every manifest image as a (M, C, H, W) stack (sizes must agree)."""
-    images = [_load_image(p, channels) for p in manifest.absolute_paths()]
+    images = [imageops.load_image(p, channels) for p in manifest.absolute_paths()]
     shapes = {im.shape for im in images}
     if len(shapes) != 1:
         raise ValueError(f"manifest images have mixed shapes: {sorted(shapes)}")
@@ -562,17 +522,14 @@ def watermark_dataset(model, manifest, message, out_dir):
     for rel, identity in manifest.entries:
         src = manifest.root / rel
         try:
-            image = _load_image(src, channels)
+            image = imageops.load_image(src, channels)
         except (OSError, ValueError) as exc:
             failed.append((str(src), str(exc)))
             continue
         marked = wm.encode(model, image, msg, mode="infer")
         dest = out_dir / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
-        if channels == 3:
-            imageops.save_ppm(marked, dest)
-        else:
-            imageops.save_pgm(marked, dest)
+        imageops.save_image(marked, dest)
         quantized = np.floor(marked * 255.0 + 0.5).clip(0, 255) / 255.0
         psnrs.append(imageops.psnr(image, quantized))
         written_entries.append((rel, identity))

@@ -44,6 +44,9 @@ __all__ = [
     "batchnorm2d",
     "relu",
     "conv_bn_relu",
+    "conv_bn_layout",
+    "conv_bn_stack_layout",
+    "init_params",
     "sigmoid",
     "affine",
     "global_avg_pool",
@@ -773,7 +776,42 @@ class ParamSet:
 
     def conv_bn(self, prefix):
         """The conv weight, conv bias, bn gamma and bn beta nodes of the block ``prefix``."""
-        return tuple(self[f"{prefix}.{part}"] for part in ("conv.weight", "conv.bias", "bn.gamma", "bn.beta"))
+        return tuple(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS)
+
+    def bn_slots(self):
+        """The ``<block>.bn`` prefix of every batchnorm, in parameter order."""
+        return [name[: -len(".gamma")] for name in self._params if name.endswith(".bn.gamma")]
+
+
+_CONV_BN_PARTS = ("conv.weight", "conv.bias", "bn.gamma", "bn.beta")
+
+
+def conv_bn_layout(prefix, c_in, c_out):
+    """The (name, shape) pairs of one :func:`conv_bn_relu` block, in :meth:`ParamSet.conv_bn` order."""
+    shapes = ((c_out, c_in, 3, 3), (c_out,), (c_out,), (c_out,))
+    return [(f"{prefix}.{part}", shape) for part, shape in zip(_CONV_BN_PARTS, shapes)]
+
+
+def conv_bn_stack_layout(prefix, count, c_in, width):
+    """The layout of ``count`` stacked blocks ``<prefix>.block<i>``, the first taking ``c_in`` channels."""
+    return [pair for i in range(count) for pair in conv_bn_layout(f"{prefix}.block{i}", width if i else c_in, width)]
+
+
+def init_params(layout, rng=None):
+    """A :class:`ParamSet` for ``layout``'s (name, shape) pairs, drawn from ``rng`` in order.
+
+    ``*.weight`` is He-normal over its fan-in (all axes but the first), ``*.gamma``
+    one and the rest zero. With no ``rng`` every value is zero, for a loader to fill.
+    """
+    params = ParamSet()
+    for name, shape in layout:
+        value = np.zeros(shape)
+        if rng is not None and name.endswith(".weight"):
+            value = rng.standard_normal(shape) * np.sqrt(2.0 / int(np.prod(shape[1:])))
+        elif rng is not None and name.endswith(".gamma"):
+            value = np.ones(shape)
+        params.add(name, value)
+    return params
 
 
 def adam_step(params: ParamSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

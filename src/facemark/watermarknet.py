@@ -16,13 +16,13 @@ statistics at extraction time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import msgcodec
 from . import tensorgrad as tg
-from .containers import read_container, write_container
+from .containers import load_state, read_container, save_state
 
 __all__ = [
     "WatermarkConfig",
@@ -72,92 +72,37 @@ class WatermarkModel:
     step: int = 0
 
 
-def _conv_bn_names(prefix, i):
-    return (
-        f"{prefix}.block{i}.conv.weight",
-        f"{prefix}.block{i}.conv.bias",
-        f"{prefix}.block{i}.bn.gamma",
-        f"{prefix}.block{i}.bn.beta",
-    )
-
-
 def _encoder_layout(cfg):
     """Ordered (name, shape) pairs for every encoder parameter."""
-    layout = []
-    c_in = cfg.image_channels + cfg.message_length
-    for i in range(cfg.encoder_blocks):
-        wname, bname, gname, bename = _conv_bn_names("enc", i)
-        layout += [
-            (wname, (cfg.base_channels, c_in, 3, 3)),
-            (bname, (cfg.base_channels,)),
-            (gname, (cfg.base_channels,)),
-            (bename, (cfg.base_channels,)),
-        ]
-        c_in = cfg.base_channels
-    fuse_in = cfg.base_channels + cfg.image_channels + cfg.message_length
-    layout += [
-        ("enc.out.weight", (cfg.image_channels, fuse_in, 3, 3)),
+    c_msg = cfg.image_channels + cfg.message_length
+    return tg.conv_bn_stack_layout("enc", cfg.encoder_blocks, c_msg, cfg.base_channels) + [
+        ("enc.out.weight", (cfg.image_channels, cfg.base_channels + c_msg, 3, 3)),
         ("enc.out.bias", (cfg.image_channels,)),
     ]
-    return layout
 
 
 def _decoder_layout(cfg):
     """Ordered (name, shape) pairs for every decoder parameter."""
-    layout = []
-    c_in = cfg.image_channels
-    for i in range(cfg.decoder_blocks):
-        wname, bname, gname, bename = _conv_bn_names("dec", i)
-        layout += [
-            (wname, (cfg.base_channels, c_in, 3, 3)),
-            (bname, (cfg.base_channels,)),
-            (gname, (cfg.base_channels,)),
-            (bename, (cfg.base_channels,)),
-        ]
-        c_in = cfg.base_channels
-    layout += [
-        ("dec.bits.conv.weight", (cfg.message_length, cfg.base_channels, 3, 3)),
-        ("dec.bits.conv.bias", (cfg.message_length,)),
-        ("dec.bits.bn.gamma", (cfg.message_length,)),
-        ("dec.bits.bn.beta", (cfg.message_length,)),
+    return [
+        *tg.conv_bn_stack_layout("dec", cfg.decoder_blocks, cfg.image_channels, cfg.base_channels),
+        *tg.conv_bn_layout("dec.bits", cfg.base_channels, cfg.message_length),
         ("dec.fc.weight", (cfg.message_length, cfg.message_length)),
         ("dec.fc.bias", (cfg.message_length,)),
     ]
-    return layout
 
 
-def _init_value(name, shape, rng):
-    if name.endswith(".conv.weight") or name.endswith(".out.weight"):
-        fan_in = int(np.prod(shape[1:]))
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-    if name.endswith(".fc.weight"):
-        fan_in = shape[1]
-        return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-    if name.endswith(".gamma"):
-        return np.ones(shape)
-    return np.zeros(shape)
-
-
-def _build_skeleton(cfg):
-    encoder = tg.ParamSet()
-    decoder = tg.ParamSet()
-    for name, shape in _encoder_layout(cfg):
-        encoder.add(name, np.zeros(shape))
-    for name, shape in _decoder_layout(cfg):
-        decoder.add(name, np.zeros(shape))
-    enc_stats = [tg.RunningStats() for _ in range(cfg.encoder_blocks)]
-    dec_stats = [tg.RunningStats() for _ in range(cfg.decoder_blocks + 1)]
+def _new_model(cfg, rng=None):
+    # Encoder first, then decoder, from one rng: this order fixes what a seed builds.
+    encoder = tg.init_params(_encoder_layout(cfg), rng)
+    decoder = tg.init_params(_decoder_layout(cfg), rng)
+    enc_stats = [tg.RunningStats() for _ in encoder.bn_slots()]
+    dec_stats = [tg.RunningStats() for _ in decoder.bn_slots()]
     return WatermarkModel(cfg, encoder, decoder, enc_stats, dec_stats)
 
 
 def build_model(config, seed=0):
     """He-initialized encoder/decoder pair; the same seed reproduces it."""
-    model = _build_skeleton(config)
-    rng = np.random.default_rng(seed)
-    for pset, layout in ((model.encoder, _encoder_layout(config)), (model.decoder, _decoder_layout(config))):
-        for name, shape in layout:
-            pset[name].value[...] = _init_value(name, shape, rng)
-    return model
+    return _new_model(config, np.random.default_rng(seed))
 
 
 def _message_planes(messages, n, h, w, length):
@@ -211,14 +156,7 @@ def _stats_for_mode(model, mode):
     # mode runs stat-free, infer mode reads the stored averages.
     if mode == "infer":
         return model
-    return WatermarkModel(
-        model.config,
-        model.encoder,
-        model.decoder,
-        [None] * len(model.enc_stats),
-        [None] * len(model.dec_stats),
-        model.step,
-    )
+    return replace(model, enc_stats=[None] * len(model.enc_stats), dec_stats=[None] * len(model.dec_stats))
 
 
 def encode(model, image, message, mode="infer"):
@@ -251,29 +189,16 @@ def extract(model, image):
     return msgcodec.logits_to_message(decode_logits(model, image, mode="infer"))
 
 
-def _stat_tensors(prefix_stats):
-    tensors = []
-    for name, stats in prefix_stats:
-        if stats.populated:
-            tensors.append((f"{name}.running_mean", stats.mean))
-            tensors.append((f"{name}.running_var", stats.var))
-    return tensors
-
-
-def _stat_names(model):
-    cfg = model.config
-    names = [(f"enc.block{i}.bn", model.enc_stats[i]) for i in range(cfg.encoder_blocks)]
-    names += [(f"dec.block{i}.bn", model.dec_stats[i]) for i in range(cfg.decoder_blocks)]
-    names += [("dec.bits.bn", model.dec_stats[cfg.decoder_blocks])]
-    return names
+def _state(model):
+    """The (name, Node) pairs and {slot: RunningStats} that WMF1 files hold."""
+    params = [*model.encoder.items(), *model.decoder.items()]
+    slots = model.encoder.bn_slots() + model.decoder.bn_slots()
+    return params, dict(zip(slots, model.enc_stats + model.dec_stats))
 
 
 def save_model(model, path):
     """Persist parameters, running statistics, config and step counter."""
-    tensors = [(name, node.value) for name, node in model.encoder.items()]
-    tensors += [(name, node.value) for name, node in model.decoder.items()]
-    tensors += _stat_tensors(_stat_names(model))
-    write_container(path, MODEL_MAGIC, asdict(model.config), model.step, tensors)
+    save_state(path, MODEL_MAGIC, asdict(model.config), model.step, *_state(model))
 
 
 def load_model(path):
@@ -283,34 +208,7 @@ def load_model(path):
         cfg = WatermarkConfig(**config_dict)
     except TypeError as exc:
         raise ValueError(f"{path}: bad config block: {exc}") from exc
-    model = _build_skeleton(cfg)
+    model = _new_model(cfg)
     model.step = step
-    expected = dict(_encoder_layout(cfg) + _decoder_layout(cfg))
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise ValueError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
-            )
-    stat_slots = dict(_stat_names(model))
-    for name, arr in tensors.items():
-        if name in expected:
-            pset = model.encoder if name.startswith("enc.") else model.decoder
-            pset[name].value[...] = arr
-            continue
-        base, _, kind = name.rpartition(".")
-        if base not in stat_slots or kind not in ("running_mean", "running_var"):
-            raise ValueError(f"{path}: unexpected tensor {name!r}")
-        if kind == "running_mean":
-            stat_slots[base].mean = arr
-        else:
-            stat_slots[base].var = arr
-    for base, stats in stat_slots.items():
-        if (stats.mean is None) != (stats.var is None):
-            raise ValueError(f"{path}: running statistics for {base!r} are incomplete")
-        if stats.mean is not None:
-            want = expected[f"{base}.gamma"]
-            if stats.mean.shape != want or stats.var.shape != want:
-                raise ValueError(f"{path}: running statistics for {base!r} have wrong shape")
+    load_state(path, tensors, *_state(model))
     return model

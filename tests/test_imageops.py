@@ -58,6 +58,18 @@ class TestPpmIO:
         iops.save_ppm(img, path)
         assert path.read_bytes()[-3:] == bytes([128, 128, 128])
 
+    @pytest.mark.parametrize("channels, magic", [(3, b"P6"), (1, b"P5")])
+    def test_image_pair_picks_format_by_channels(self, tmp_path, channels, magic):
+        img = texture_images(1, 8, seed=4, channels=channels)[0]
+        path = tmp_path / "img"
+        iops.save_image(img, path)
+        assert path.read_bytes()[:2] == magic
+        back = iops.load_image(path, channels)
+        assert back.shape == img.shape
+        assert np.max(np.abs(back - img)) <= 1.0 / 255.0
+        with pytest.raises(ValueError, match=(b"P6" if channels == 1 else b"P5").decode()):
+            iops.load_image(path, 4 - channels)
+
 
 class TestCrop:
     def test_ratio_one_is_identity(self):

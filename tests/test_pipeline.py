@@ -1,9 +1,14 @@
-"""Training reruns: byte-identical outputs at a fixed BLAS thread count."""
+"""Config keys, and training reruns with byte-identical outputs at a fixed BLAS thread count."""
 
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import pytest
+
+from facemark import bioeval, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +55,24 @@ def test_training_repeats_byte_for_byte_at_one_blas_thread(tmp_path):
     assert history_a.count(b"\n") == 3  # header + 2 steps
     assert model_a == model_b
     assert history_a == history_b
+
+
+def _config_text(value):
+    """A default written back as its config-file value."""
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize(
+    "cls, build",
+    [
+        (pipeline.TrainConfig, pipeline.build_train_config),
+        (pipeline.VerifyOptions, pipeline.build_verify_options),
+        (bioeval.EmbedderTrainConfig, pipeline.build_embedder_train_config),
+    ],
+    ids=["train", "verify", "embedder"],
+)
+def test_every_config_field_is_a_key_that_parses_back_to_its_default(cls, build):
+    for field in fields(cls):
+        parsed = build({field.name: _config_text(field.default)})
+        assert getattr(parsed, field.name) == field.default, field.name
+    assert build({field.name: _config_text(field.default) for field in fields(cls)}) == cls()
