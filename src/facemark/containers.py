@@ -19,6 +19,7 @@ A Conv-BN-ReLU block ``<block>`` has ``<block>.conv.weight/bias``,
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -58,17 +59,26 @@ def read_container(path, magic):
         raise ValueError(f"{path}: truncated header (need {hlen} bytes)")
     try:
         header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     for key in ("config", "step", "tensors"):
         if key not in header:
             raise ValueError(f"{path}: header missing field {key!r}")
+    if not isinstance(header["config"], dict):
+        raise ValueError(f"{path}: header field 'config' is not a JSON object")
+    if type(header["step"]) is not int:
+        raise ValueError(f"{path}: header field 'step' is not an integer")
+    if not isinstance(header["tensors"], list):
+        raise ValueError(f"{path}: header field 'tensors' is not a list")
     pos = 8 + hlen
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        name, dims = entry
-        count = int(np.prod(dims)) if dims else 1
-        nbytes = count * 4
+        name, dims = _manifest_entry(path, entry)
+        if name in tensors:
+            raise ValueError(f"{path}: tensor {name!r} is listed twice")
+        nbytes = math.prod(dims) * 4
         if pos + nbytes > len(data):
             raise ValueError(f"{path}: truncated payload in tensor {name!r}")
         flat = np.frombuffer(data[pos : pos + nbytes], dtype="<f4")
@@ -76,7 +86,17 @@ def read_container(path, magic):
         pos += nbytes
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} trailing bytes after last tensor")
-    return header["config"], int(header["step"]), tensors
+    return header["config"], header["step"], tensors
+
+
+def _manifest_entry(path, entry):
+    """One manifest entry as (name, dims): a string and a list of non-negative ints."""
+    if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+        raise ValueError(f"{path}: manifest entry {entry!r} is not [name, [dims]]")
+    name, dims = entry
+    if not (isinstance(dims, list) and all(type(d) is int and d >= 0 for d in dims)):
+        raise ValueError(f"{path}: tensor {name!r} has bad dims {dims!r}, expected a list of non-negative ints")
+    return name, dims
 
 
 def save_state(path, magic, config, step, params, stats):

@@ -17,8 +17,10 @@ Conventions
   nodes raises. ``backward`` releases each vjp closure, and the interior
   gradient it consumed, as soon as the closure has run: afterwards only
   leaves hold ``grad``.
-* The conv2d and relu vjps read their input and output nodes and keep no
-  padded copy or mask; the batchnorm2d vjp keeps only the normalized input.
+* The conv2d vjp keeps its input node but no padded copy, the relu vjp its
+  output but no mask, and the batchnorm2d vjp the normalized input but not
+  its input node. A ``conv_bn_relu`` block thus holds only ``xhat`` and its
+  output beyond its input.
 * ``relu`` uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
 * Results repeat exactly at a fixed BLAS thread count. Changing the thread
@@ -292,6 +294,7 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
     out = gamma.value[None, :, None, None] * xhat
     out += beta.value[None, :, None, None]
     m = n * h * w
+    x_grad = x.requires_grad  # the closure keeps no reference to the input node
 
     def vjp(g):
         # ``g`` may be shared with another branch (``add`` hands one array to
@@ -300,14 +303,14 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
         gx = ggamma = gbeta = None
         g_sum = g.sum(axis=axes)
         gxh = gxh_sum = None
-        if gamma.requires_grad or (x.requires_grad and mode == "train"):
+        if gamma.requires_grad or (x_grad and mode == "train"):
             gxh = g * xhat
             gxh_sum = gxh.sum(axis=axes)
         if beta.requires_grad:
             gbeta = g_sum
         if gamma.requires_grad:
             ggamma = gxh_sum
-        if x.requires_grad:
+        if x_grad:
             scale_c = (gamma.value * inv_std)[None, :, None, None]
             if mode == "train":
                 centered = np.subtract(g, (g_sum / m)[None, :, None, None], out=gxh)
@@ -340,11 +343,25 @@ def relu(x):
 def conv_bn_relu(x, weight, bias, gamma, beta, mode="train", running=None):
     """The Conv-BN-ReLU block all three networks stack: pad-1 conv2d, batchnorm2d, relu.
 
-    Built from the three ops through this module's names, so each stays its
-    own graph node.
+    One graph node with parents (x, weight, bias, gamma, beta), bit-identical
+    to ``relu(batchnorm2d(conv2d(...)))``. It calls the two ops through this
+    module's names and keeps only their vjps, so neither the conv output nor
+    the pre-ReLU output outlives the forward pass; the ReLU runs in place.
     """
+    x, weight, bias, gamma, beta = (_as_node(p) for p in (x, weight, bias, gamma, beta))
     h = conv2d(x, weight, bias, pad=1)
-    return relu(batchnorm2d(h, gamma, beta, mode=mode, running=running))
+    conv_vjp = h._vjp
+    bn = batchnorm2d(h, gamma, beta, mode=mode, running=running)
+    bn_vjp, out = bn._vjp, bn.value
+    del h, bn
+    np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        gh, ggamma, gbeta = bn_vjp(g * (out > 0.0))
+        gx, gw, gb = (None, None, None) if conv_vjp is None else conv_vjp(gh)
+        return gx, gw, gb, ggamma, gbeta
+
+    return _result(out, "conv_bn_relu", (x, weight, bias, gamma, beta), vjp)
 
 
 def sigmoid(x):

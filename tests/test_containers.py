@@ -4,10 +4,13 @@ import json
 import re
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facemark import bioeval as be
 from facemark import cli
@@ -17,9 +20,9 @@ from facemark.containers import read_container, write_container
 MAGIC = b"TST1"
 
 
-def container_bytes(header, payload=b""):
+def container_bytes(header, payload=b"", magic=MAGIC):
     raw = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+    return magic + struct.pack("<I", len(raw)) + raw + payload
 
 
 GOOD_HEADER = {"config": {}, "step": 0, "tensors": [["w", [2]]]}
@@ -44,14 +47,119 @@ class TestReadContainer:
             (container_bytes({"config": {}, "tensors": []}), "header missing field 'step'"),
             (container_bytes(GOOD_HEADER, GOOD_PAYLOAD[:6]), "truncated payload in tensor 'w'"),
             (container_bytes(GOOD_HEADER, GOOD_PAYLOAD + b"\x00"), "1 trailing bytes"),
+            (container_bytes([GOOD_HEADER]), "header is not a JSON object"),
+            (container_bytes({**GOOD_HEADER, "config": [1]}, GOOD_PAYLOAD), "field 'config' is not a JSON object"),
+            (container_bytes({**GOOD_HEADER, "step": "3"}, GOOD_PAYLOAD), "field 'step' is not an integer"),
+            (container_bytes({**GOOD_HEADER, "step": 1e400}, GOOD_PAYLOAD), "field 'step' is not an integer"),
+            (container_bytes({**GOOD_HEADER, "tensors": 5}), "field 'tensors' is not a list"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w"]]}), "manifest entry ['w'] is not [name, [dims]]"),
+            (container_bytes({**GOOD_HEADER, "tensors": [[5, [2]]]}), "manifest entry [5, [2]] is not"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", "ab"]]}), "tensor 'w' has bad dims 'ab'"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", [2.5]]]}), "tensor 'w' has bad dims [2.5]"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", [[2]]]]}), "tensor 'w' has bad dims [[2]]"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", [-1, -2]]]}, GOOD_PAYLOAD), "tensor 'w' has bad dims"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", [True, 2]]]}, GOOD_PAYLOAD), "tensor 'w' has bad dims"),
+            (container_bytes({**GOOD_HEADER, "tensors": [["w", [2**40, 2**40]]]}), "truncated payload in tensor 'w'"),
+            (
+                container_bytes({**GOOD_HEADER, "tensors": [["w", [2]], ["w", [2]]]}, GOOD_PAYLOAD * 2),
+                "tensor 'w' is listed twice",
+            ),
+            (MAGIC + struct.pack("<I", 20000) + b"[" * 10000 + b"]" * 10000, "malformed header"),
         ],
-        ids=["magic", "length", "header", "json", "field", "payload", "trailing"],
+        ids=[
+            "magic", "length", "header", "json", "field", "payload", "trailing",
+            "header-list", "config-list", "step-str", "step-inf", "tensors-int", "entry-short", "entry-name",
+            "dims-str", "dims-float", "dims-nested", "dims-negative", "dims-bool", "dims-huge", "duplicate",
+            "deep-json",
+        ],
     )
     def test_corrupt_file_rejected(self, tmp_path, data, match):
         path = tmp_path / "c.bin"
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(match)):
             read_container(path, MAGIC)
+
+
+GOLDEN_MODEL = (Path(__file__).resolve().parent / "data" / "golden_model.wmf").read_bytes()
+GOLDEN_HEADER_END = 8 + struct.unpack("<I", GOLDEN_MODEL[4:8])[0]
+# just past each digit of the header: where ".5" or "e1" turns a dim into a float
+GOLDEN_DIGIT_ENDS = [i + 1 for i in range(8, GOLDEN_HEADER_END) if GOLDEN_MODEL[i : i + 1].isdigit()]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+manifest_entries = st.one_of(
+    st.tuples(st.sampled_from(["w", "b"]), st.lists(st.integers(-3, 2**40), max_size=3)).map(list),
+    json_values,
+)
+# headers with any subset of the three fields, or any JSON value at all
+headers = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "config": json_values,
+            "step": json_values,
+            "tensors": st.one_of(st.lists(manifest_entries, max_size=4), json_values),
+        },
+    ),
+    json_values,
+)
+
+
+def reads_or_raises_value_error(path, data, magic):
+    path.write_bytes(data)
+    try:
+        read_container(path, magic)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.bin"
+
+
+class TestReadContainerFuzz:
+    """Whatever the bytes, ``read_container`` returns or raises ValueError."""
+
+    # A flipped payload byte can spell a signalling NaN, whose float64 cast warns.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edit=st.sampled_from(["truncate", "flip", "insert"]),
+        # half the edits land in the 8-byte prefix or the JSON header
+        pos=st.one_of(st.integers(0, GOLDEN_HEADER_END), st.integers(0, len(GOLDEN_MODEL))),
+        mask=st.integers(1, 255),
+        inserted=st.binary(min_size=1, max_size=8),
+    )
+    def test_edited_golden_model(self, fuzz_path, edit, pos, mask, inserted):
+        data = bytearray(GOLDEN_MODEL)
+        if edit == "truncate":
+            del data[pos:]
+        elif edit == "flip" and pos < len(data):
+            data[pos] ^= mask
+        else:
+            data[pos:pos] = inserted
+        reads_or_raises_value_error(fuzz_path, bytes(data), wm.MODEL_MAGIC)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pos=st.one_of(st.sampled_from(GOLDEN_DIGIT_ENDS), st.integers(8, GOLDEN_HEADER_END)),
+        token=st.sampled_from([b".5", b"e1", b"-", b"[", b"]", b'"', b",", b"null"]),
+    )
+    def test_token_inserted_into_golden_header(self, fuzz_path, pos, token):
+        # with the length prefix following the header, the JSON can stay valid
+        data = bytearray(GOLDEN_MODEL)
+        data[pos:pos] = token
+        data[4:8] = struct.pack("<I", GOLDEN_HEADER_END - 8 + len(token))
+        reads_or_raises_value_error(fuzz_path, bytes(data), wm.MODEL_MAGIC)
+
+    @settings(max_examples=400, deadline=None)
+    @given(header=headers, payload=st.binary(max_size=48))
+    def test_random_manifest(self, fuzz_path, header, payload):
+        reads_or_raises_value_error(fuzz_path, container_bytes(header, payload), MAGIC)
 
 
 # ---------------------------------------------------------------------------
@@ -167,4 +275,22 @@ def test_cli_extract_with_corrupt_model_exits_2(tmp_path, capsys):
     assert cli.cli_dispatch(["extract", "--model", str(path), str(tmp_path / "in.ppm")]) == 2
     err = capsys.readouterr().err
     assert "missing tensor 'enc.block0.conv.weight'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "tensors, match",
+    [
+        (5, "header field 'tensors' is not a list"),
+        ([["w", "ab"]], "tensor 'w' has bad dims 'ab'"),
+        ([["w", [2]], ["w", [2]]], "tensor 'w' is listed twice"),
+    ],
+    ids=["tensors-int", "dims-str", "duplicate"],
+)
+def test_cli_extract_with_malformed_manifest_exits_2(tmp_path, capsys, tensors, match):
+    path = tmp_path / "malformed.wmf"
+    path.write_bytes(container_bytes({**GOOD_HEADER, "tensors": tensors}, GOOD_PAYLOAD * 2, wm.MODEL_MAGIC))
+    assert cli.cli_dispatch(["extract", "--model", str(path), str(tmp_path / "in.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert match in err
     assert "Traceback" not in err

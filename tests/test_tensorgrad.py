@@ -1,6 +1,7 @@
 """Layer-op semantics, gradients against finite differences, Adam, checker."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -412,6 +413,186 @@ class TestBatchNormReluMatchOracles:
             assert np.array_equal(node.grad, want)
 
 
+def composed_block(x, weight, bias, gamma, beta, mode="train", running=None):
+    """The earlier unfused block, three graph nodes built from the standalone ops."""
+    return tg.relu(tg.batchnorm2d(tg.conv2d(x, weight, bias, pad=1), gamma, beta, mode=mode, running=running))
+
+
+def _block_values(rng, c_in, c_out):
+    """Conv weight, conv bias, gamma and beta of one block."""
+    return [
+        rng.standard_normal((c_out, c_in, 3, 3)) * 0.4,
+        0.1 * rng.standard_normal(c_out),
+        1.0 + 0.2 * rng.standard_normal(c_out),
+        0.1 * rng.standard_normal(c_out),
+    ]
+
+
+def _run_block_graph(block, wire, values, requires_grad, stats=()):
+    """Build ``wire(block, nodes, runnings)`` on fresh leaves, backpropagate an MSE loss
+    and return the output, every leaf's gradient and the running statistics."""
+    nodes = [tg.leaf(v.copy(), requires_grad=rg) for v, rg in zip(values, requires_grad)]
+    runnings = [tg.RunningStats(mean=None if m is None else m.copy(), var=None if v is None else v.copy()) for m, v in stats]
+    out = wire(block, nodes, runnings)
+    target = np.random.default_rng(77).standard_normal(out.value.shape)
+    tg.backward(tg.mse_loss(out, tg.leaf(target)))
+    return out.value, [n.grad for n in nodes], [(r.mean, r.var) for r in runnings]
+
+
+def _assert_fused_matches_composition(wire, values, requires_grad, stats=()):
+    want = _run_block_graph(composed_block, wire, values, requires_grad, stats)
+    got = _run_block_graph(tg.conv_bn_relu, wire, values, requires_grad, stats)
+    assert np.array_equal(got[0], want[0])
+    for i, (a, e) in enumerate(zip(got[1], want[1])):
+        assert (a is None) == (e is None), i
+        assert a is None or np.array_equal(a, e), i
+    for (a_mean, a_var), (e_mean, e_var) in zip(got[2], want[2]):
+        assert np.array_equal(a_mean, e_mean) and np.array_equal(a_var, e_var)
+
+
+def _one_block(block, nodes, runnings, mode="train"):
+    return block(*nodes, mode=mode, running=runnings[0] if runnings else None)
+
+
+class TestConvBnReluMatchesComposition:
+    """The fused block node is bit-identical to relu(batchnorm2d(conv2d(...))) of the standalone ops."""
+
+    def _values(self, seed, shape=(4, 3, 9, 7), c_out=5):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape), *_block_values(rng, shape[1], c_out)]
+
+    def test_single_node_with_five_parents(self):
+        nodes = [tg.parameter(v) for v in self._values(50)]
+        out = tg.conv_bn_relu(*nodes)
+        assert out.op == "conv_bn_relu"
+        assert all(p is n for p, n in zip(out.parents, nodes, strict=True))
+
+    def test_train_mode(self):
+        _assert_fused_matches_composition(_one_block, self._values(51), [True] * 5, stats=[(None, None)])
+
+    def test_train_mode_blends_populated_statistics(self):
+        rng = np.random.default_rng(52)
+        stats = [(rng.standard_normal(5), rng.random(5) + 0.5)]
+        _assert_fused_matches_composition(_one_block, self._values(53), [True] * 5, stats)
+
+    def test_infer_mode(self):
+        rng = np.random.default_rng(54)
+        stats = [(rng.standard_normal(5), rng.random(5) + 0.5)]
+
+        def wire(block, nodes, runnings):
+            return _one_block(block, nodes, runnings, mode="infer")
+
+        _assert_fused_matches_composition(wire, self._values(55), [True] * 5, stats)
+
+    def test_input_without_gradient(self):
+        _assert_fused_matches_composition(_one_block, self._values(56), [False, True, True, True, True])
+
+    def test_gamma_and_beta_as_plain_leaves(self):
+        _assert_fused_matches_composition(_one_block, self._values(57), [True, True, True, False, False])
+
+    def test_nothing_requires_gradients(self):
+        _assert_fused_matches_composition(_one_block, self._values(58), [False] * 5)
+        out = tg.conv_bn_relu(*[tg.leaf(v) for v in self._values(58)])
+        assert not out.requires_grad and out._vjp is None
+
+    def test_two_stacked_blocks(self):
+        rng = np.random.default_rng(59)
+        values = [rng.standard_normal((3, 2, 8, 8)), *_block_values(rng, 2, 4), *_block_values(rng, 4, 4)]
+
+        def wire(block, nodes, runnings):
+            h = block(*nodes[:5], running=runnings[0])
+            return block(h, *nodes[5:], running=runnings[1])
+
+        _assert_fused_matches_composition(wire, values, [True] * 9, stats=[(None, None)] * 2)
+
+    def test_block_output_with_two_consumers(self):
+        # The shared output's gradient is summed from both branches in the
+        # same order as in the unfused graph.
+        rng = np.random.default_rng(60)
+        values = [rng.standard_normal((2, 3, 6, 6))] + [v for _ in range(3) for v in _block_values(rng, 3, 3)]
+
+        def wire(block, nodes, runnings):
+            h = block(*nodes[:5], running=runnings[0])
+            left = block(h, *nodes[5:9], running=runnings[1])
+            right = block(h, *nodes[9:13], running=runnings[2])
+            return tg.concat_channels(tg.add(left, right), h)
+
+        _assert_fused_matches_composition(wire, values, [True] * 13, stats=[(None, None)] * 3)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(61)
+        values = [rng.random((2, 2, 5, 5)) + 0.25, *_block_values(rng, 2, 3), *_block_values(rng, 3, 3)]
+        names = ["x", "w1", "b1", "gamma1", "beta1", "w2", "b2", "gamma2", "beta2"]
+        params = {name: tg.parameter(v) for name, v in zip(names, values)}
+        nodes = list(params.values())
+        target = tg.leaf(rng.standard_normal((2, 3, 5, 5)))
+
+        def build():
+            h = tg.conv_bn_relu(*nodes[:5], mode="train")
+            return tg.mse_loss(tg.conv_bn_relu(h, *nodes[5:], mode="train"), target)
+
+        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        assert report.passed, str(report)
+
+    def test_infer_mode_matches_finite_differences(self):
+        rng = np.random.default_rng(62)
+        names = ["x", "w", "b", "gamma", "beta"]
+        params = {name: tg.parameter(v) for name, v in zip(names, self._values(63, shape=(2, 2, 5, 5), c_out=3))}
+        running = tg.RunningStats(mean=rng.standard_normal(3), var=rng.random(3) + 0.5)
+        target = tg.leaf(rng.standard_normal((2, 3, 5, 5)))
+
+        def build():
+            return tg.mse_loss(tg.conv_bn_relu(*params.values(), mode="infer", running=running), target)
+
+        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        assert report.passed, str(report)
+
+    def test_ops_are_called_through_module_names(self, monkeypatch):
+        # A profiler patches tg.conv2d and tg.batchnorm2d and wraps each
+        # returned node's vjp; the fused block must run the patched ones.
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name + ".fwd"] = calls.get(name + ".fwd", 0) + 1
+                node = fn(*args, **kwargs)
+                vjp = node._vjp
+
+                def counted_vjp(g):
+                    calls[name + ".vjp"] = calls.get(name + ".vjp", 0) + 1
+                    return vjp(g)
+
+                node._vjp = counted_vjp
+                return node
+
+            return wrapper
+
+        monkeypatch.setattr(tg, "conv2d", counted("conv2d", tg.conv2d))
+        monkeypatch.setattr(tg, "batchnorm2d", counted("batchnorm2d", tg.batchnorm2d))
+        rng = np.random.default_rng(64)
+        values = [rng.standard_normal((2, 2, 6, 6)), *_block_values(rng, 2, 3), *_block_values(rng, 3, 3)]
+        nodes = [tg.parameter(v) for v in values]
+        out = tg.conv_bn_relu(tg.conv_bn_relu(*nodes[:5]), *nodes[5:])
+        assert calls == {"conv2d.fwd": 2, "batchnorm2d.fwd": 2}
+        tg.backward(tg.sum_all(out))
+        assert calls == {"conv2d.fwd": 2, "batchnorm2d.fwd": 2, "conv2d.vjp": 2, "batchnorm2d.vjp": 2}
+
+    def test_conv_output_is_released(self, monkeypatch):
+        # Only the block input, xhat and the block output outlive the forward.
+        conv_outputs = []
+        conv2d = tg.conv2d
+
+        def recording(*args, **kwargs):
+            node = conv2d(*args, **kwargs)
+            conv_outputs.append(weakref.ref(node.value))
+            return node
+
+        monkeypatch.setattr(tg, "conv2d", recording)
+        nodes = [tg.parameter(v) for v in self._values(65)]
+        out = tg.conv_bn_relu(*nodes)
+        assert out.requires_grad and [ref() for ref in conv_outputs] == [None]
+
+
 class TestElementwise:
     def test_relu_examples(self):
         out = tg.relu(tg.leaf(np.array([[-1.0, 0.0, 2.0]])))
@@ -580,10 +761,10 @@ class TestBackward:
         tg.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             tg.backward(tg.sum_all(hidden))
-        conv = hidden.parents[0].parents[0]
-        assert conv.op == "conv2d"
+        scaled = loss.parents[0]
+        assert scaled.op == "scale"
         with pytest.raises(RuntimeError, match="already"):
-            tg.backward(tg.sum_all(tg.scale(conv, 2.0)))
+            tg.backward(tg.sum_all(tg.scale(scaled, 2.0)))
 
     def test_only_leaves_keep_gradients(self):
         (x, *params), hidden, loss = self._small_graph()
@@ -597,7 +778,7 @@ class TestBackward:
             if node.parents:
                 interior.append(node)
                 stack.extend(node.parents)
-        assert [node.op for node in interior] == ["sum_all", "scale", "relu", "batchnorm2d", "conv2d"]
+        assert [node.op for node in interior] == ["sum_all", "scale", "conv_bn_relu"]
         for node in interior:
             assert node.grad is None and node._vjp is None
 
@@ -784,7 +965,10 @@ class TestTrainingGraphMemory:
         # One default training step (batch 16, base 64, 4+7 blocks, 32x32).
         # The earlier code held a 525 MB forward graph (padded conv inputs,
         # batchnorm temporaries, relu masks) and peaked at 1.6x that during
-        # backward, because every interior gradient stayed alive.
+        # backward, because every interior gradient stayed alive. With three
+        # nodes per block it held 403 MB (each conv output and pre-ReLU
+        # batchnorm output too) and peaked at 426 MB; the fused block keeps
+        # xhat and its output, ~214 MB, and peaks at ~247 MB.
         from facemark import watermarknet as wm
 
         model = wm.build_model(wm.WatermarkConfig(message_length=16), seed=0)
@@ -802,5 +986,5 @@ class TestTrainingGraphMemory:
         finally:
             tracemalloc.stop()
         assert all(node.grad is not None for _, node in model.encoder.items())
-        assert forward_graph < 450e6
-        assert backward_peak < 1.1 * forward_graph
+        assert forward_graph < 250e6
+        assert backward_peak < 300e6
