@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensorgrad as tg
-from .containers import load_state, read_container, save_state
+from .containers import build_config, load_state, read_container, save_state
 
 __all__ = [
     "Embedding",
@@ -637,11 +637,7 @@ def load_embedder(path):
     """Inverse of :func:`save_embedder`."""
     config_dict, step, tensors = read_container(path, EMBEDDER_MAGIC)
     labels = config_dict.pop("class_labels", [])
-    try:
-        cfg = EmbedderConfig(**config_dict)
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad config block: {exc}") from exc
-    model = _build_embedder(cfg, labels, seed=None)
+    model = _build_embedder(build_config(path, EmbedderConfig, config_dict), labels, seed=None)
     model.step = step
     load_state(path, tensors, *_embedder_state(model))
     return model

@@ -8,7 +8,8 @@ Layout (little-endian throughout):
 * the header: ``{"config": {...}, "step": int, "tensors": [[name, [dims]], ...]}``;
 * raw float32 values for each tensor in manifest order, C-contiguous.
 
-Weights are persisted at 32-bit precision and widened to float64 on load.
+Weights are persisted at 32-bit precision and widened to float64 on load;
+a NaN or Inf payload value is rejected.
 
 Both model formats hold a state dict (:func:`save_state`, :func:`load_state`):
 the parameters in order, then each populated batchnorm's running statistics.
@@ -21,10 +22,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+from typing import get_type_hints
 
 import numpy as np
 
-__all__ = ["write_container", "read_container", "save_state", "load_state"]
+__all__ = ["write_container", "read_container", "build_config", "save_state", "load_state"]
 
 
 def write_container(path, magic, config, step, tensors):
@@ -82,11 +84,28 @@ def read_container(path, magic):
         if pos + nbytes > len(data):
             raise ValueError(f"{path}: truncated payload in tensor {name!r}")
         flat = np.frombuffer(data[pos : pos + nbytes], dtype="<f4")
+        if not np.all(np.isfinite(flat)):
+            raise ValueError(f"{path}: tensor {name!r} holds NaN or Inf")
         tensors[name] = flat.astype(np.float64).reshape(dims)
         pos += nbytes
     if pos != len(data):
         raise ValueError(f"{path}: {len(data) - pos} trailing bytes after last tensor")
     return header["config"], header["step"], tensors
+
+
+def build_config(path, cls, config):
+    """``cls(**config)`` for a header's config block, whose int fields must be JSON integers.
+
+    A missing, unknown or mistyped field raises ValueError ("bad config block").
+    """
+    hints = get_type_hints(cls)
+    mistyped = sorted(k for k, v in config.items() if hints.get(k) is int and type(v) is not int)
+    if mistyped:
+        raise ValueError(f"{path}: bad config block: fields {mistyped} must be JSON integers")
+    try:
+        return cls(**config)
+    except TypeError as exc:
+        raise ValueError(f"{path}: bad config block: {exc}") from exc
 
 
 def _manifest_entry(path, entry):

@@ -2,8 +2,10 @@
 
 Images are C x H x W float64 arrays with pixels in [0, 1] (C is 1 or 3).
 The transforms here serve double duty: evaluation attacks applied after
-watermarking and training-time augmentations (via their differentiable
-twins in :mod:`facemark.tensorgrad`).
+watermarking (:func:`apply_transform`, one image) and training-time
+augmentations (a batch inside the training graph). Both go through
+:func:`transform_batch`, which runs the differentiable ``tensorgrad`` ops,
+so an attack and its augmentation share one size rule and one kernel.
 
 The JPEG operation is a fidelity simulation of a baseline codec: color
 transform, 8x8 block DCT, quantization by the standard quality-scaled
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorgrad import bilinear_resize
+from . import tensorgrad as tg
 
 __all__ = [
     "Transform",
@@ -28,12 +30,9 @@ __all__ = [
     "save_pgm",
     "load_image",
     "save_image",
-    "crop_random",
     "crop_window",
-    "resize_bilinear",
-    "adjust_brightness",
-    "adjust_contrast",
     "jpeg_roundtrip",
+    "transform_batch",
     "apply_transform",
     "psnr",
     "require_image",
@@ -72,11 +71,11 @@ class Transform:
             raise ValueError(f"unknown transform kind {self.kind!r}; expected one of {TRANSFORM_KINDS}")
         if self.kind in ("crop", "resize") and not (0.0 < self.factor <= 1.0):
             raise ValueError(f"{self.kind} ratio must lie in (0, 1], got {self.factor}")
-        if self.kind in ("brightness", "contrast") and self.factor <= 0.0:
+        if self.kind in ("brightness", "contrast") and not self.factor > 0.0:
             raise ValueError(f"{self.kind} factor must be > 0, got {self.factor}")
         if self.kind == "jpeg":
             q = self.factor
-            if q != int(q) or not (1 <= int(q) <= 100):
+            if not (1 <= q <= 100) or q != int(q):
                 raise ValueError(f"jpeg quality must be an integer in [1, 100], got {self.factor}")
 
 
@@ -116,52 +115,48 @@ def _read_pnm_header(data, path, magic):
     return width, height, pos
 
 
-def load_ppm(path):
-    """Read a binary P6 PPM into a 3 x H x W image in [0, 1]."""
+def _load_pnm(path, magic, channels):
+    """Read a binary PNM file (P6: 3 channels, P5: 1) into a C x H x W image in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, pos = _read_pnm_header(data, path, b"P6")
-    need = width * height * 3
+    width, height, pos = _read_pnm_header(data, path, magic)
+    need = width * height * channels
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise ValueError(f"{path}: truncated payload at byte {pos + len(payload)}, need {need} bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+
+
+def _save_pnm(img, path, magic, channels, name):
+    """Write a C x H x W image as binary PNM; rounds to nearest, ties up."""
+    arr = require_image(img)
+    if arr.shape[0] != channels:
+        raise ValueError(f"{name}: expected {channels} channel(s), got {arr.shape[0]}")
+    raw = np.floor(arr * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
+        fh.write(raw.transpose(1, 2, 0).tobytes())
+
+
+def load_ppm(path):
+    """Read a binary P6 PPM into a 3 x H x W image in [0, 1]."""
+    return _load_pnm(path, b"P6", 3)
 
 
 def save_ppm(img, path):
     """Write a 3 x H x W image as binary P6; rounds to nearest, ties up."""
-    arr = require_image(img)
-    if arr.shape[0] != 3:
-        raise ValueError(f"save_ppm: expected 3 channels, got {arr.shape[0]}")
-    raw = np.floor(arr * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
-        fh.write(raw.transpose(1, 2, 0).tobytes())
+    _save_pnm(img, path, b"P6", 3, "save_ppm")
 
 
 def load_pgm(path):
     """Read a binary P5 PGM into a 1 x H x W image in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, pos = _read_pnm_header(data, path, b"P5")
-    need = width * height
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ValueError(f"{path}: truncated payload at byte {pos + len(payload)}, need {need} bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(1, height, width)
-    return arr.astype(np.float64) / 255.0
+    return _load_pnm(path, b"P5", 1)
 
 
 def save_pgm(img, path):
     """Write a 1 x H x W image as binary P5; rounds to nearest, ties up."""
-    arr = require_image(img)
-    if arr.shape[0] != 1:
-        raise ValueError(f"save_pgm: expected 1 channel, got {arr.shape[0]}")
-    raw = np.floor(arr * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
-        fh.write(raw[0].tobytes())
+    _save_pnm(img, path, b"P5", 1, "save_pgm")
 
 
 def load_image(path, channels):
@@ -175,65 +170,6 @@ def save_image(img, path):
         save_ppm(img, path)
     else:
         save_pgm(img, path)
-
-
-# ---------------------------------------------------------------------------
-# geometric and photometric transforms
-# ---------------------------------------------------------------------------
-
-def crop_window(img, ratio):
-    """Output size of a crop/resize by ``ratio``: floor per axis, >= 1 required."""
-    arr = np.asarray(img)
-    out_h = int(ratio * arr.shape[1])
-    out_w = int(ratio * arr.shape[2])
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"ratio {ratio} collapses {arr.shape[1]}x{arr.shape[2]} below one pixel")
-    return out_h, out_w
-
-
-def crop_random(img, ratio, seed=0):
-    """Seeded random crop to floor(ratio * size) per axis; ratio 1 is identity."""
-    arr = require_image(img)
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"crop ratio must lie in (0, 1], got {ratio}")
-    if ratio == 1.0:
-        return arr
-    out_h, out_w = crop_window(arr, ratio)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    top = int(rng.integers(0, arr.shape[1] - out_h + 1))
-    left = int(rng.integers(0, arr.shape[2] - out_w + 1))
-    return arr[:, top : top + out_h, left : left + out_w].copy()
-
-
-def resize_bilinear(img, ratio):
-    """Bilinear downscale to floor(ratio * size); ratio 1 is identity."""
-    arr = require_image(img)
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"resize ratio must lie in (0, 1], got {ratio}")
-    if ratio == 1.0:
-        return arr
-    out_h, out_w = crop_window(arr, ratio)
-    return bilinear_resize(arr, out_h, out_w)
-
-
-def adjust_brightness(img, factor):
-    """clamp(factor * pixel, 0, 1)."""
-    arr = require_image(img)
-    if factor <= 0:
-        raise ValueError(f"brightness factor must be > 0, got {factor}")
-    return np.clip(arr * factor, 0.0, 1.0)
-
-
-def adjust_contrast(img, factor):
-    """Affine stretch about the global luma mean, clamped to [0, 1]."""
-    arr = require_image(img)
-    if factor <= 0:
-        raise ValueError(f"contrast factor must be > 0, got {factor}")
-    if factor == 1.0:
-        return arr  # exact identity; mu + (x - mu) would reintroduce rounding
-    weights = LUMA_WEIGHTS if arr.shape[0] == 3 else np.array([1.0])
-    mu = float(np.einsum("chw,c->", arr, weights) / (arr.shape[1] * arr.shape[2]))
-    return np.clip(mu + factor * (arr - mu), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +229,7 @@ def idct2_blocks(coeffs):
 
 def quant_tables(quality):
     """Quality-scaled (luma, chroma) tables per the conventional 5000/q rule."""
-    if quality != int(quality) or not (1 <= int(quality) <= 100):
-        raise ValueError(f"jpeg quality must be an integer in [1, 100], got {quality}")
+    Transform("jpeg", quality)  # validates
     q = int(quality)
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     tables = []
@@ -364,22 +299,58 @@ def jpeg_roundtrip(img, quality):
     return out / 255.0
 
 
+# ---------------------------------------------------------------------------
+# the transform suite
+# ---------------------------------------------------------------------------
+
+def crop_window(height, width, ratio):
+    """Output size of a crop/resize by ``ratio``: floor per axis, >= 1 required."""
+    out_h, out_w = int(ratio * height), int(ratio * width)
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"ratio {ratio} collapses {height}x{width} below one pixel")
+    return out_h, out_w
+
+
+def transform_batch(x, kind, factor, rng):
+    """Apply one transform to an (N, C, H, W) node; sweeps and training both call this.
+
+    Crop and resize output :func:`crop_window`'s size; a crop draws its top,
+    then its left offset from ``rng`` and cuts the whole batch there.
+    An output the size of its input, and contrast at exactly 1.0, return
+    ``x`` itself. JPEG runs image by image under a straight-through
+    estimator; the other kinds are differentiable ``tensorgrad`` ops.
+    """
+    _, c, h, w = x.value.shape
+    if kind in ("crop", "resize"):
+        out_h, out_w = crop_window(h, w, factor)
+        if (out_h, out_w) == (h, w):
+            return x
+        if kind == "resize":
+            return tg.resize_bilinear(x, out_h, out_w)
+        top = int(rng.integers(0, h - out_h + 1))
+        left = int(rng.integers(0, w - out_w + 1))
+        return tg.crop_spatial(x, top, left, out_h, out_w)
+    if kind == "brightness":
+        return tg.adjust_brightness(x, factor)
+    if kind == "contrast":
+        if factor == 1.0:
+            return x  # exact identity; mu + (x - mu) would reintroduce rounding
+        return tg.adjust_contrast(x, factor, LUMA_WEIGHTS if c == 3 else np.array([1.0]))
+    if kind == "jpeg":
+        quality = int(factor)
+        return tg.straight_through(
+            x, lambda batch: np.stack([jpeg_roundtrip(img, quality) for img in batch]), op="jpeg_straight_through"
+        )
+    if kind == "identity":
+        return x
+    raise ValueError(f"unknown transform kind {kind!r}")
+
+
 def apply_transform(img, transform):
-    """Dispatch a :class:`Transform` to the matching operation."""
+    """Apply a :class:`Transform` to one image; a crop draws its offsets from ``transform.seed``."""
     t = transform
-    if t.kind == "identity":
-        return require_image(img)
-    if t.kind == "crop":
-        return crop_random(img, t.factor, t.seed)
-    if t.kind == "resize":
-        return resize_bilinear(img, t.factor)
-    if t.kind == "brightness":
-        return adjust_brightness(img, t.factor)
-    if t.kind == "contrast":
-        return adjust_contrast(img, t.factor)
-    if t.kind == "jpeg":
-        return jpeg_roundtrip(img, int(t.factor))
-    raise ValueError(f"unknown transform kind {t.kind!r}")
+    x = tg.leaf(require_image(img)[None])
+    return transform_batch(x, t.kind, t.factor, np.random.default_rng(t.seed)).value[0]
 
 
 def psnr(a, b):

@@ -1,4 +1,4 @@
-"""Watermark message handling: random bits, bitmap signatures, bit decisions.
+"""Watermark message handling: bitmap signatures, bit decisions, bit accuracy.
 
 Messages are 1-D uint8 arrays over {0, 1}; signature bitmaps are 2-D uint8
 arrays whose row-major flattening yields the message. The bundled default
@@ -13,9 +13,7 @@ from importlib import resources
 import numpy as np
 
 __all__ = [
-    "random_message",
     "bitmap_to_message",
-    "message_to_bitmap",
     "logits_to_message",
     "bit_accuracy",
     "validate_message",
@@ -41,14 +39,6 @@ def validate_message(msg, length=None):
     return arr.astype(np.uint8)
 
 
-def random_message(seed, length):
-    """Fair i.i.d. bits from a seeded PCG64 stream; same seed, same message."""
-    if length <= 0:
-        raise ValueError(f"message length must be >= 1, got {length}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, 2, size=length, dtype=np.uint8)
-
-
 def bitmap_to_message(bitmap):
     """Flatten a binary bitmap row-major, top-left bit first."""
     arr = np.asarray(bitmap)
@@ -57,16 +47,6 @@ def bitmap_to_message(bitmap):
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("signature bitmap pixels must be exactly 0 or 1")
     return arr.astype(np.uint8).reshape(-1)
-
-
-def message_to_bitmap(msg, height, width):
-    """Inverse of :func:`bitmap_to_message`."""
-    arr = validate_message(msg)
-    if height * width != arr.shape[0]:
-        raise ValueError(
-            f"bitmap {height}x{width} holds {height * width} bits, message has {arr.shape[0]}"
-        )
-    return arr.reshape(height, width)
 
 
 def logits_to_message(logits):

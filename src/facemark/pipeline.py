@@ -49,7 +49,7 @@ __all__ = [
 HISTORY_HEADER = "step,recon_loss,decode_loss,bit_acc,psnr"
 SWEEP_HEADER = "kind,factor,mean_bit_acc,std,n"
 
-_AUG_KINDS = ("crop", "resize", "brightness", "contrast", "jpeg")
+_AUG_KINDS = tuple(kind for kind in imageops.TRANSFORM_KINDS if kind != "identity")
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +94,16 @@ class TrainConfig:
         bad = [k for k in self.aug_kinds if k not in _AUG_KINDS]
         if bad:
             raise ValueError(f"unknown augmentation kinds {bad}; expected subset of {_AUG_KINDS}")
-        for name, (lo, hi), check in (
-            ("crop_range", self.crop_range, lambda v: 0.0 < v <= 1.0),
-            ("resize_range", self.resize_range, lambda v: 0.0 < v <= 1.0),
-            ("brightness_range", self.brightness_range, lambda v: v > 0.0),
-            ("contrast_range", self.contrast_range, lambda v: v > 0.0),
-            ("jpeg_range", self.jpeg_range, lambda v: v == int(v) and 1 <= v <= 100),
-        ):
-            if lo > hi or not (check(lo) and check(hi)):
-                raise ValueError(f"{name} ({lo}, {hi}) violates the transform invariants")
+        for kind in _AUG_KINDS:
+            lo, hi = getattr(self, f"{kind}_range")
+            try:
+                if lo > hi:
+                    raise ValueError("low end above high end")
+                imageops.Transform(kind, lo), imageops.Transform(kind, hi)  # validates both ends
+                if kind in ("crop", "resize") and int(lo * self.image_size) < wm.MIN_DECODE_SIDE:
+                    raise ValueError(f"the decoder needs at least {wm.MIN_DECODE_SIDE} pixels per side")
+            except ValueError as exc:
+                raise ValueError(f"{kind}_range ({lo}, {hi}) violates the transform invariants: {exc}") from exc
 
     def model_config(self):
         return wm.WatermarkConfig(
@@ -178,11 +179,7 @@ _SWEEP_KEYS = {
     "seed": int,
     "repetitions": int,
     "sweep_kinds": tuple[str, ...],
-    "crop_grid": tuple[float, ...],
-    "resize_grid": tuple[float, ...],
-    "brightness_grid": tuple[float, ...],
-    "contrast_grid": tuple[float, ...],
-    "jpeg_grid": tuple[float, ...],
+    **{f"{kind}_grid": tuple[float, ...] for kind in _AUG_KINDS},
 }
 
 
@@ -214,7 +211,7 @@ _TABLE_GRIDS = {
 def default_sweep_spec(seed=0, repetitions=1):
     """The full transformation grid used for the standard robustness table."""
     return SweepSpec(
-        cells=tuple((kind, _TABLE_GRIDS[kind]) for kind in ("crop", "resize", "brightness", "contrast", "jpeg")),
+        cells=tuple((kind, _TABLE_GRIDS[kind]) for kind in _AUG_KINDS),
         repetitions=repetitions,
         seed=seed,
     )
@@ -223,7 +220,7 @@ def default_sweep_spec(seed=0, repetitions=1):
 def build_sweep_spec(mapping, seed_override=None):
     typed = _typed_mapping(mapping, _SWEEP_KEYS, "sweep config")
     seed = int(seed_override) if seed_override is not None else typed.get("seed", 0)
-    kinds = typed.get("sweep_kinds", ("crop", "resize", "brightness", "contrast", "jpeg"))
+    kinds = typed.get("sweep_kinds", _AUG_KINDS)
     cells = []
     for kind in kinds:
         grid = typed.get(f"{kind}_grid", _TABLE_GRIDS.get(kind))
@@ -358,46 +355,17 @@ def load_manifest_images(manifest, channels=3):
 # watermark training
 # ---------------------------------------------------------------------------
 
-def _uniform_in(rng, lo, hi):
-    return float(lo + (hi - lo) * rng.random())
-
-
 def _apply_training_augmentation(node, kind, config, rng):
-    """One augmentation drawn inside the training graph.
+    """One augmentation of the watermarked batch, drawn inside the training graph.
 
-    Crop/resize/brightness/contrast run as differentiable ops; the JPEG
-    round trip is non-differentiable, so it runs under a straight-through
-    estimator (forward transforms, backward passes gradients unchanged).
+    The strength comes from ``config.<kind>_range``: one ``rng.random()``
+    spread over the range, or for JPEG an integer quality drawn inclusively.
+    :func:`imageops.transform_batch` then applies it as in a sweep, drawing
+    any crop offsets from the same ``rng``.
     """
-    n, c, h, w = node.value.shape
-    if kind == "crop":
-        ratio = _uniform_in(rng, *config.crop_range)
-        out_h, out_w = max(1, int(ratio * h)), max(1, int(ratio * w))
-        if out_h == h and out_w == w:
-            return node
-        top = int(rng.integers(0, h - out_h + 1))
-        left = int(rng.integers(0, w - out_w + 1))
-        return tg.crop_spatial(node, top, left, out_h, out_w)
-    if kind == "resize":
-        ratio = _uniform_in(rng, *config.resize_range)
-        out_h, out_w = max(1, int(ratio * h)), max(1, int(ratio * w))
-        if out_h == h and out_w == w:
-            return node
-        return tg.resize_bilinear(node, out_h, out_w)
-    if kind == "brightness":
-        return tg.adjust_brightness(node, _uniform_in(rng, *config.brightness_range))
-    if kind == "contrast":
-        weights = imageops.LUMA_WEIGHTS if c == 3 else np.array([1.0])
-        return tg.adjust_contrast(node, _uniform_in(rng, *config.contrast_range), weights)
-    if kind == "jpeg":
-        lo, hi = config.jpeg_range
-        quality = int(rng.integers(int(lo), int(hi) + 1))
-
-        def roundtrip(batch):
-            return np.stack([imageops.jpeg_roundtrip(batch[i], quality) for i in range(batch.shape[0])])
-
-        return tg.straight_through(node, roundtrip, op="jpeg_straight_through")
-    raise AssertionError(kind)
+    lo, hi = getattr(config, f"{kind}_range")
+    factor = int(rng.integers(int(lo), int(hi) + 1)) if kind == "jpeg" else float(lo + (hi - lo) * rng.random())
+    return imageops.transform_batch(node, kind, factor, rng)
 
 
 def train_watermark(config, images, model=None, checkpoint_dir=None):
@@ -405,7 +373,8 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
 
     Per step: sample a batch, embed a fresh random message per image, with
     probability ``p_aug`` push the watermarked batch through one randomly
-    drawn augmentation, decode, and take an Adam step on
+    drawn augmentation (the sweep's transforms, through
+    :func:`imageops.transform_batch`), decode, and take an Adam step on
     ``recon_weight * mse + decode_weight * bce``. Reconstruction loss always
     compares the pre-transform watermarked batch with the input batch.
 

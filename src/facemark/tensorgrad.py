@@ -3,9 +3,10 @@
 The scope is deliberately narrow: exactly the layers the watermark
 encoder/decoder and the toy embedder are built from (convolution, batch
 normalization, relu, affine, pooling, channel concatenation, the two losses),
-the differentiable augmentations applied between them during training
-(spatial crop, bilinear resize, photometric stretch, straight-through), and
-an Adam optimizer with a finite-difference gradient checker.
+the transforms that training augmentation and robustness sweeps both run
+through ``imageops.transform_batch`` (spatial crop, bilinear resize,
+photometric stretch, straight-through), and an Adam optimizer with a
+finite-difference gradient checker.
 
 Conventions
 -----------
@@ -470,8 +471,8 @@ def bilinear_resize(arr, out_h, out_w):
     """Bilinear resampling of the trailing two axes (align-corners false).
 
     Sample centers sit at half-pixel positions; out-of-range taps clamp to
-    the edge. Plain-array helper shared by the pure image transform and the
-    differentiable op so both use identical sampling.
+    the edge. Plain-array helper shared by the differentiable op and the
+    embedder's input resize, so both use identical sampling.
     """
     in_h, in_w = arr.shape[-2], arr.shape[-1]
     y0, y1, ty = _bilinear_taps(in_h, out_h)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import msgcodec
 from . import tensorgrad as tg
-from .containers import load_state, read_container, save_state
+from .containers import build_config, load_state, read_container, save_state
 
 __all__ = [
     "WatermarkConfig",
@@ -204,11 +204,7 @@ def save_model(model, path):
 def load_model(path):
     """Inverse of :func:`save_model`; validates names and shapes field by field."""
     config_dict, step, tensors = read_container(path, MODEL_MAGIC)
-    try:
-        cfg = WatermarkConfig(**config_dict)
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad config block: {exc}") from exc
-    model = _new_model(cfg)
+    model = _new_model(build_config(path, WatermarkConfig, config_dict))
     model.step = step
     load_state(path, tensors, *_state(model))
     return model

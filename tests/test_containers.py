@@ -28,6 +28,16 @@ def container_bytes(header, payload=b"", magic=MAGIC):
 GOOD_HEADER = {"config": {}, "step": 0, "tensors": [["w", [2]]]}
 GOOD_PAYLOAD = np.array([1.0, 2.0], dtype="<f4").tobytes()
 
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_MODEL = (DATA / "golden_model.wmf").read_bytes()
+GOLDEN_EMBEDDER = (DATA / "golden_embedder.emb").read_bytes()
+
+
+def golden_with_first_weight(golden, value):
+    """A golden model file under MAGIC with its first float32 payload value replaced."""
+    start = 8 + struct.unpack("<I", golden[4:8])[0]
+    return MAGIC + golden[4:start] + np.array([value], dtype="<f4").tobytes() + golden[start + 4 :]
+
 
 class TestReadContainer:
     def test_round_trip(self, tmp_path):
@@ -65,12 +75,16 @@ class TestReadContainer:
                 "tensor 'w' is listed twice",
             ),
             (MAGIC + struct.pack("<I", 20000) + b"[" * 10000 + b"]" * 10000, "malformed header"),
+            (golden_with_first_weight(GOLDEN_MODEL, np.nan), "tensor 'enc.block0.conv.weight' holds NaN or Inf"),
+            (golden_with_first_weight(GOLDEN_MODEL, np.inf), "tensor 'enc.block0.conv.weight' holds NaN or Inf"),
+            (golden_with_first_weight(GOLDEN_EMBEDDER, np.nan), "tensor 'emb.block0.conv.weight' holds NaN or Inf"),
+            (golden_with_first_weight(GOLDEN_EMBEDDER, -np.inf), "tensor 'emb.block0.conv.weight' holds NaN or Inf"),
         ],
         ids=[
             "magic", "length", "header", "json", "field", "payload", "trailing",
             "header-list", "config-list", "step-str", "step-inf", "tensors-int", "entry-short", "entry-name",
             "dims-str", "dims-float", "dims-nested", "dims-negative", "dims-bool", "dims-huge", "duplicate",
-            "deep-json",
+            "deep-json", "wmf1-nan", "wmf1-inf", "emb1-nan", "emb1-inf",
         ],
     )
     def test_corrupt_file_rejected(self, tmp_path, data, match):
@@ -80,7 +94,6 @@ class TestReadContainer:
             read_container(path, MAGIC)
 
 
-GOLDEN_MODEL = (Path(__file__).resolve().parent / "data" / "golden_model.wmf").read_bytes()
 GOLDEN_HEADER_END = 8 + struct.unpack("<I", GOLDEN_MODEL[4:8])[0]
 # just past each digit of the header: where ".5" or "e1" turns a dim into a float
 GOLDEN_DIGIT_ENDS = [i + 1 for i in range(8, GOLDEN_HEADER_END) if GOLDEN_MODEL[i : i + 1].isdigit()]
@@ -268,6 +281,18 @@ class TestLoadState:
         with pytest.raises(ValueError, match=r"bad config block: .*'bogus_key'"):
             fmt.load(tmp_path / "m")
 
+    @pytest.mark.parametrize("value", [4.0, True, "4", None], ids=["float", "bool", "str", "null"])
+    def test_int_config_field_must_be_a_json_integer(self, tmp_path, fmt, value):
+        fmt.write(tmp_path / "m", edit_config=lambda c: {**c, "base_channels": value})
+        with pytest.raises(ValueError, match=r"bad config block: .*'base_channels'"):
+            fmt.load(tmp_path / "m")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight(self, tmp_path, fmt, value):
+        fmt.write(tmp_path / "m", lambda t: [(n, np.full(v.shape, value) if n == fmt.tensor else v) for n, v in t])
+        with pytest.raises(ValueError, match=re.escape(f"tensor {fmt.tensor!r} holds NaN or Inf")):
+            fmt.load(tmp_path / "m")
+
 
 def test_cli_extract_with_corrupt_model_exits_2(tmp_path, capsys):
     path = tmp_path / "corrupt.wmf"
@@ -275,6 +300,15 @@ def test_cli_extract_with_corrupt_model_exits_2(tmp_path, capsys):
     assert cli.cli_dispatch(["extract", "--model", str(path), str(tmp_path / "in.ppm")]) == 2
     err = capsys.readouterr().err
     assert "missing tensor 'enc.block0.conv.weight'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_extract_with_float_config_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "float.wmf"
+    FORMATS["wmf1"].write(path, edit_config=lambda c: {**c, "base_channels": 3.0})
+    assert cli.cli_dispatch(["extract", "--model", str(path), str(tmp_path / "in.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert "bad config block" in err and "'base_channels'" in err
     assert "Traceback" not in err
 
 

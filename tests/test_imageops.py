@@ -4,9 +4,20 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facemark import imageops as iops
+from facemark import tensorgrad as tg
 from _synth import texture_images
+
+
+def transform(img, kind, factor, seed=0):
+    return iops.apply_transform(img, iops.Transform(kind, factor, seed))
+
+
+def crop(img, ratio, seed):
+    return transform(img, "crop", ratio, seed)
 
 
 class TestPpmIO:
@@ -71,26 +82,74 @@ class TestPpmIO:
             iops.load_image(path, 4 - channels)
 
 
+@pytest.fixture(scope="module")
+def pnm_files(tmp_path_factory):
+    """A saved 3-channel P6 and 1-channel P5 file: {channels: (reader, bytes)}, plus a path for edited copies."""
+    root = tmp_path_factory.mktemp("pnm")
+    files = {}
+    for channels, save, load in ((3, iops.save_ppm, iops.load_ppm), (1, iops.save_pgm, iops.load_pgm)):
+        path = root / f"saved{channels}"
+        save(texture_images(1, 6, seed=24, channels=channels)[0], path)
+        files[channels] = (load, path.read_bytes())
+    return root / "edited", files
+
+
+# Header-shaped insertions: separators, comments, digits, signs and junk.
+PNM_TOKENS = [b" ", b"\n", b"\t", b"#", b"# c\n", b"0", b"7", b"99999999", b"-", b"+", b".", b"P6", b"P5", b"x"]
+
+
+class TestPnmReaderFuzz:
+    """Whatever the edit, a PNM reader returns a C x H x W image in [0, 1] or raises ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        channels=st.sampled_from([3, 1]),
+        edit=st.sampled_from(["truncate", "flip", "insert"]),
+        # half the edits land in the 11-byte header
+        pos=st.one_of(st.integers(0, 12), st.integers(0, 120)),
+        mask=st.integers(1, 255),
+        inserted=st.one_of(st.sampled_from(PNM_TOKENS), st.binary(min_size=1, max_size=4)),
+    )
+    def test_edited_file(self, pnm_files, channels, edit, pos, mask, inserted):
+        path, files = pnm_files
+        load, saved = files[channels]
+        data = bytearray(saved)
+        pos = min(pos, len(data))
+        if edit == "truncate":
+            del data[pos:]
+        elif edit == "flip" and pos < len(data):
+            data[pos] ^= mask
+        else:
+            data[pos:pos] = inserted
+        path.write_bytes(bytes(data))
+        try:
+            img = load(path)
+        except ValueError:
+            return
+        assert img.ndim == 3 and img.shape[0] == channels and min(img.shape) >= 1
+        assert img.min() >= 0.0 and img.max() <= 1.0
+
+
 class TestCrop:
     def test_ratio_one_is_identity(self):
         img = texture_images(1, 12, seed=4)[0]
-        np.testing.assert_array_equal(iops.crop_random(img, 1.0, seed=5), img)
+        np.testing.assert_array_equal(crop(img, 1.0, seed=5), img)
 
     def test_output_size_floors(self):
         img = np.zeros((3, 112, 112))
-        out = iops.crop_random(img, 0.8, seed=0)
+        out = crop(img, 0.8, seed=0)
         assert out.shape == (3, 89, 89)
 
     def test_same_seed_same_offset(self):
         img = texture_images(1, 20, seed=6)[0]
-        np.testing.assert_array_equal(iops.crop_random(img, 0.5, seed=9), iops.crop_random(img, 0.5, seed=9))
+        np.testing.assert_array_equal(crop(img, 0.5, seed=9), crop(img, 0.5, seed=9))
 
     def test_offsets_cover_more_than_half(self):
         img = texture_images(1, 16, seed=7)[0]
         # ratio 0.5 on 16x16 -> 8x8 output, 9x9 = 81 valid offsets
         seen = set()
         for seed in range(1000):
-            out = iops.crop_random(img, 0.5, seed=seed)
+            out = crop(img, 0.5, seed=seed)
             # recover offset by matching the top-left pixel row/col
             for top in range(9):
                 for left in range(9):
@@ -104,22 +163,22 @@ class TestCrop:
 
     def test_too_small_output_rejected(self):
         with pytest.raises(ValueError):
-            iops.crop_random(np.zeros((3, 4, 4)), 0.1, seed=0)
+            crop(np.zeros((3, 4, 4)), 0.1, seed=0)
 
 
 class TestResize:
     def test_ratio_one_is_identity(self):
         img = texture_images(1, 10, seed=8)[0]
-        np.testing.assert_array_equal(iops.resize_bilinear(img, 1.0), img)
+        np.testing.assert_array_equal(transform(img, "resize", 1.0), img)
 
     def test_constant_image_stays_constant(self):
         img = np.full((3, 12, 12), 0.42)
-        out = iops.resize_bilinear(img, 0.6)
+        out = transform(img, "resize", 0.6)
         np.testing.assert_allclose(out, 0.42, atol=1e-12)
 
     def test_checkerboard_to_single_pixel(self):
         img = np.array([[0.0, 1.0], [1.0, 0.0]])[None]
-        out = iops.resize_bilinear(img, 0.5)
+        out = transform(img, "resize", 0.5)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -127,29 +186,29 @@ class TestResize:
 class TestPhotometric:
     def test_brightness_examples(self):
         img = np.full((3, 2, 2), 0.2)
-        np.testing.assert_array_equal(iops.adjust_brightness(img, 1.0), img)
-        np.testing.assert_allclose(iops.adjust_brightness(img, 3.0), 0.6, atol=1e-15)
-        np.testing.assert_array_equal(iops.adjust_brightness(np.full((3, 2, 2), 0.5), 3.0), np.ones((3, 2, 2)))
+        np.testing.assert_array_equal(transform(img, "brightness", 1.0), img)
+        np.testing.assert_allclose(transform(img, "brightness", 3.0), 0.6, atol=1e-15)
+        np.testing.assert_array_equal(transform(np.full((3, 2, 2), 0.5), "brightness", 3.0), np.ones((3, 2, 2)))
 
     def test_contrast_examples(self):
         img = texture_images(1, 8, seed=9)[0]
-        np.testing.assert_array_equal(iops.adjust_contrast(img, 1.0), img)
+        np.testing.assert_array_equal(transform(img, "contrast", 1.0), img)
         constant = np.full((3, 4, 4), 0.3)
-        np.testing.assert_allclose(iops.adjust_contrast(constant, 2.5), constant, atol=1e-12)
+        np.testing.assert_allclose(transform(constant, "contrast", 2.5), constant, atol=1e-12)
 
     def test_contrast_formula(self):
         # gray image with known luma mean 0.5, one probe pixel at 0.6
         img = np.full((3, 4, 4), 0.5)
         img[:, 0, 0] = 0.6
         mu = float(np.einsum("chw,c->", img, iops.LUMA_WEIGHTS) / 16)
-        out = iops.adjust_contrast(img, 2.0)
+        out = transform(img, "contrast", 2.0)
         expected = np.clip(mu + 2.0 * (0.6 - mu), 0.0, 1.0)
         assert out[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_contrast_preserves_luma_mean_without_clamping(self):
         rng = np.random.default_rng(10)
         img = rng.uniform(0.35, 0.65, size=(3, 16, 16))
-        out = iops.adjust_contrast(img, 1.4)
+        out = transform(img, "contrast", 1.4)
         mu_in = float(np.einsum("chw,c->", img, iops.LUMA_WEIGHTS) / 256)
         mu_out = float(np.einsum("chw,c->", out, iops.LUMA_WEIGHTS) / 256)
         assert abs(mu_in - mu_out) < 1e-9
@@ -268,6 +327,59 @@ class TestApplyTransform:
             out = iops.apply_transform(img, t)
             assert np.all(np.isfinite(out))
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+# One factor per kind that changes the image.
+KIND_FACTORS = [("crop", 0.7), ("resize", 0.7), ("brightness", 1.8), ("contrast", 2.2), ("jpeg", 80), ("identity", 1.0)]
+
+
+class TestTransformBatch:
+    """The one dispatcher: sweeps reach it through ``apply_transform``, training directly."""
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("kind, factor", KIND_FACTORS, ids=[k for k, _ in KIND_FACTORS])
+    def test_batch_matches_apply_transform_image_by_image(self, kind, factor, channels):
+        images = texture_images(3, 20, seed=21, channels=channels)
+        out = iops.transform_batch(tg.leaf(images), kind, factor, np.random.default_rng(7))
+        # one crop offset serves the batch; seed 7 gives each lone image the same one
+        for i, img in enumerate(images):
+            np.testing.assert_array_equal(out.value[i], transform(img, kind, factor, seed=7))
+
+    @pytest.mark.parametrize("kind", ["crop", "resize", "contrast", "identity"])
+    def test_factor_one_returns_the_input_node(self, kind):
+        x = tg.leaf(texture_images(3, 12, seed=22))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert iops.transform_batch(x, kind, 1.0, rng) is x
+        assert rng.bit_generator.state == state  # an identity crop draws no offsets
+
+    def test_brightness_one_keeps_every_pixel(self):
+        x = tg.leaf(texture_images(3, 12, seed=22))
+        np.testing.assert_array_equal(iops.transform_batch(x, "brightness", 1.0, None).value, x.value)
+
+    def test_crop_draws_top_then_left(self):
+        x = tg.leaf(texture_images(2, 16, seed=23))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        out = iops.transform_batch(x, "crop", 0.5, rng)
+        top, left = int(twin.integers(0, 9)), int(twin.integers(0, 9))
+        np.testing.assert_array_equal(out.value, x.value[:, :, top : top + 8, left : left + 8])
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("kind, factor", KIND_FACTORS[:-1], ids=[k for k, _ in KIND_FACTORS[:-1]])
+    def test_gradient_reaches_the_input(self, kind, factor):
+        x = tg.parameter(texture_images(2, 16, seed=25))
+        tg.backward(tg.sum_all(iops.transform_batch(x, kind, factor, np.random.default_rng(1))))
+        assert x.grad.shape == x.value.shape and np.any(x.grad != 0.0)
+        if kind == "jpeg":  # straight-through: the gradient passes unchanged
+            np.testing.assert_array_equal(x.grad, np.ones_like(x.value))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="rotate"):
+            iops.transform_batch(tg.leaf(np.zeros((1, 3, 8, 8))), "rotate", 1.0, None)
+
+    def test_ratio_collapsing_below_one_pixel(self):
+        with pytest.raises(ValueError, match="below one pixel"):
+            iops.transform_batch(tg.leaf(np.zeros((2, 3, 8, 8))), "resize", 0.1, None)
 
 
 class TestPsnr:

@@ -1,6 +1,7 @@
 """Config keys, and training reruns with byte-identical outputs at a fixed BLAS thread count."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -76,3 +77,63 @@ def test_every_config_field_is_a_key_that_parses_back_to_its_default(cls, build)
         parsed = build({field.name: _config_text(field.default)})
         assert getattr(parsed, field.name) == field.default, field.name
     assert build({field.name: _config_text(field.default) for field in fields(cls)}) == cls()
+
+
+# Two training steps per augmentation kind, each step's decoder input going
+# through that kind. The parameter digests were recorded at one BLAS thread;
+# a change to an augmentation's draws or arithmetic changes them.
+AUGMENTED_SCRIPT = """
+import hashlib
+
+from _synth import texture_images
+from facemark import pipeline
+
+images = texture_images(6, 16, seed=8)
+for kind in ("crop", "resize", "brightness", "contrast", "jpeg"):
+    config = pipeline.TrainConfig(
+        steps=2, batch_size=3, image_size=16, message_length=4, base_channels=4, encoder_blocks=1,
+        decoder_blocks=1, p_aug=1.0, aug_kinds=(kind,), crop_range=(0.5, 1.0), resize_range=(0.5, 1.0),
+        brightness_range=(0.5, 3.0), contrast_range=(0.5, 3.0), jpeg_range=(10, 90), seed=4,
+    )
+    model, _ = pipeline.train_watermark(config, images)
+    digest = hashlib.sha256()
+    for params in (model.encoder, model.decoder):
+        for _, node in params.items():
+            digest.update(node.value.tobytes())
+    print(kind, digest.hexdigest()[:16])
+"""
+AUGMENTED_DIGESTS = {
+    "crop": "de231c9910e5939d",
+    "resize": "b924a8a1a2a23f1b",
+    "brightness": "3bcc17b017e539ac",
+    "contrast": "806e813eeff588be",
+    "jpeg": "a50c23e0a3b86e36",
+}
+
+
+def test_augmented_training_per_kind_repeats_recorded_parameters():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    result = subprocess.run(
+        [sys.executable, "-c", AUGMENTED_SCRIPT], env=env, check=True, timeout=300, capture_output=True, text=True
+    )
+    assert dict(line.split() for line in result.stdout.splitlines()) == AUGMENTED_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("crop_range", (0.8, 0.7), "low end above high end"),
+        ("resize_range", (0.0, 1.0), "resize ratio must lie in (0, 1]"),
+        ("crop_range", (0.75, 1.5), "crop ratio must lie in (0, 1]"),
+        ("brightness_range", (float("nan"), 2.0), "brightness factor must be > 0"),
+        ("contrast_range", (-1.0, 2.0), "contrast factor must be > 0"),
+        ("jpeg_range", (50.5, 90), "jpeg quality must be an integer"),
+        ("jpeg_range", (50, float("inf")), "jpeg quality must be an integer"),
+        ("crop_range", (0.2, 1.0), "decoder needs at least 8 pixels"),
+    ],
+    ids=["order", "resize-zero", "crop-above-one", "brightness-nan", "contrast-negative", "jpeg-fraction", "jpeg-inf", "crop-below-decoder"],
+)
+def test_train_config_range_names_its_field(field, value, match):
+    with pytest.raises(ValueError, match=re.escape(f"{field} ({value[0]}, {value[1]}) violates") + ".*" + re.escape(match)):
+        pipeline.TrainConfig(**{field: value})
