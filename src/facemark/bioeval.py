@@ -469,7 +469,6 @@ _EMBEDDER_BLOCKS = 3
 class EmbedderModel:
     config: EmbedderConfig
     params: tg.ParamSet
-    stats: list[tg.RunningStats]
     class_labels: list[str]
     step: int = 0
 
@@ -486,19 +485,22 @@ def _embedder_layout(cfg):
 def _build_embedder(cfg, class_labels, seed=None):
     """He-initialized from ``seed``; with no seed every parameter is zero."""
     params = tg.init_params(_embedder_layout(cfg), None if seed is None else np.random.default_rng(seed))
-    stats = [tg.RunningStats() for _ in params.bn_slots()]
-    return EmbedderModel(cfg, params, stats, list(class_labels))
+    return EmbedderModel(cfg, params, list(class_labels))
 
 
-def forward_embedder(model, images, mode="infer"):
-    """(N,C,H,W) batch -> (features (N,d) node, class logits (N,K) node)."""
+def forward_embedder(model, images, mode="infer", track_stats=True):
+    """(N,C,H,W) batch -> (features (N,d) node, class logits (N,K) node).
+
+    ``track_stats=False`` leaves the running statistics out, so only ``train`` mode can run.
+    """
     cfg = model.config
     x = images if isinstance(images, tg.Node) else tg.leaf(np.asarray(images, dtype=np.float64))
     if x.value.shape[1] != cfg.image_channels:
         raise ValueError(f"embedder expects {cfg.image_channels}-channel images, got {x.value.shape[1]}")
+    stats = model.params.stats if track_stats else dict.fromkeys(model.params.stats)
     out = x
     for i in range(_EMBEDDER_BLOCKS):
-        out = tg.conv_bn_relu(out, *model.params.conv_bn(f"emb.block{i}"), mode, model.stats[i])
+        out = tg.conv_bn_relu(out, *model.params.conv_bn(f"emb.block{i}"), mode, stats[f"emb.block{i}.bn"])
     pooled = tg.global_avg_pool(out)
     features = tg.affine(pooled, model.params["emb.fc_embed.weight"], model.params["emb.fc_embed.bias"])
     logits = tg.affine(features, model.params["emb.fc_class.weight"], model.params["emb.fc_class.bias"])
@@ -518,6 +520,8 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
     labels = [str(v) for v in identities]
     if len(labels) != data.shape[0]:
         raise ValueError(f"{data.shape[0]} images but {len(labels)} identity labels")
+    if not all(labels):
+        raise ValueError("every image needs a non-empty identity label")  # the EMB1 reader requires one
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ValueError(f"training requires at least 2 identities, got {len(classes)}")
@@ -574,15 +578,13 @@ def embed_images(model, images, identities, source="original"):
     size = model.config.image_size
     if data.shape[2] != size or data.shape[3] != size:
         data = tg.bilinear_resize(data, size, size)
-    if all(s.populated for s in model.stats):
+    if all(s.populated for s in model.params.stats.values()):
         features, _ = forward_embedder(model, data, mode="infer")
         vectors = features.value.astype(np.float32)
     else:
-        # Untrained embedder: normalize each image by its own statistics
-        # (stat-free, one image per pass) so embeddings do not depend on
-        # how the batch was composed.
-        shadow = EmbedderModel(model.config, model.params, [None] * _EMBEDDER_BLOCKS, model.class_labels)
-        rows = [forward_embedder(shadow, data[i : i + 1], mode="train")[0].value[0] for i in range(data.shape[0])]
+        # Untrained embedder: each image runs alone on its own batch statistics,
+        # so embeddings do not depend on how the batch was composed.
+        rows = [forward_embedder(model, img[None], "train", track_stats=False)[0].value[0] for img in data]
         vectors = np.stack(rows).astype(np.float32)
     return [Embedding(vector=vectors[i], identity=labels[i], source=source) for i in range(len(labels))]
 
@@ -623,21 +625,21 @@ def load_embeddings(path):
     return out
 
 
-def _embedder_state(model):
-    return list(model.params.items()), dict(zip(model.params.bn_slots(), model.stats))
-
-
 def save_embedder(model, path):
     """Persist the embedder in the EMB1 container."""
     config = {**asdict(model.config), "class_labels": model.class_labels}
-    save_state(path, EMBEDDER_MAGIC, config, model.step, *_embedder_state(model))
+    save_state(path, EMBEDDER_MAGIC, config, model.step, model.params)
 
 
 def load_embedder(path):
     """Inverse of :func:`save_embedder`."""
     config_dict, step, tensors = read_container(path, EMBEDDER_MAGIC)
-    labels = config_dict.pop("class_labels", [])
-    model = _build_embedder(build_config(path, EmbedderConfig, config_dict), labels, seed=None)
+    labels = config_dict.pop("class_labels", None)
+    cfg = build_config(path, EmbedderConfig, config_dict)
+    if not (isinstance(labels, list) and all(isinstance(v, str) and v for v in labels)
+            and len(set(labels)) == len(labels) == cfg.num_classes):
+        raise ValueError(f"{path}: bad config block: class_labels must be {cfg.num_classes} distinct non-empty strings")
+    model = _build_embedder(cfg, labels, seed=None)
     model.step = step
-    load_state(path, tensors, *_embedder_state(model))
+    load_state(path, tensors, model.params)
     return model

@@ -153,7 +153,7 @@ def _cmd_embed(args):
     model = wm.load_model(args.model)
     msg = _message_for_model(args, model)
     image = imageops.load_image(args.in_image, model.config.image_channels)
-    marked = wm.encode(model, image, msg, mode="infer")
+    marked = wm.encode(model, image, msg)
     imageops.save_image(marked, args.out_image)
     return 0
 

@@ -11,8 +11,9 @@ Layout (little-endian throughout):
 Weights are persisted at 32-bit precision and widened to float64 on load;
 a NaN or Inf payload value is rejected.
 
-Both model formats hold a state dict (:func:`save_state`, :func:`load_state`):
-the parameters in order, then each populated batchnorm's running statistics.
+Both model formats hold a state dict, which is one ``tensorgrad.ParamSet``
+(:func:`save_state`, :func:`load_state`): its parameters in order, then the
+running statistics of each populated batchnorm slot in ``ParamSet.stats``.
 A Conv-BN-ReLU block ``<block>`` has ``<block>.conv.weight/bias``,
 ``<block>.bn.gamma/beta`` and ``<block>.bn.running_mean/var``.
 """
@@ -118,36 +119,36 @@ def _manifest_entry(path, entry):
     return name, dims
 
 
-def save_state(path, magic, config, step, params, stats):
-    """Write ``params`` ((name, Node) pairs), then each populated slot of ``stats`` ({slot: RunningStats})."""
-    tensors = [(name, node.value) for name, node in params]
-    for slot, running in stats.items():
+def save_state(path, magic, config, step, params):
+    """Write the ``ParamSet`` ``params``: its parameters, then each populated slot of ``params.stats``."""
+    tensors = [(name, node.value) for name, node in params.items()]
+    for slot, running in params.stats.items():
         if running.populated:
             tensors += [(f"{slot}.running_mean", running.mean), (f"{slot}.running_var", running.var)]
     write_container(path, magic, config, step, tensors)
 
 
-def load_state(path, tensors, params, stats):
-    """Fill ``params`` and ``stats`` (as for :func:`save_state`) from ``read_container``'s tensors.
+def load_state(path, tensors, params):
+    """Fill the ``ParamSet`` ``params`` and its ``stats`` from ``read_container``'s tensors.
 
     Any missing, misshapen, unexpected or half-present tensor raises ValueError.
     """
-    params = dict(params)
-    for name, node in params.items():
+    nodes, stats = dict(params.items()), params.stats
+    for name, node in nodes.items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != node.value.shape:
             raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {node.value.shape}")
     for name, arr in tensors.items():
-        if name in params:
-            params[name].value[...] = arr
+        if name in nodes:
+            nodes[name].value[...] = arr
             continue
         slot, _, kind = name.rpartition(".")
         if slot not in stats or kind not in ("running_mean", "running_var"):
             raise ValueError(f"{path}: unexpected tensor {name!r}")
         setattr(stats[slot], "mean" if kind == "running_mean" else "var", arr)
     for slot, running in stats.items():
-        channels = params[f"{slot}.gamma"].value.shape
+        channels = nodes[f"{slot}.gamma"].value.shape
         if any(arr is not None and arr.shape != channels for arr in (running.mean, running.var)):
             raise ValueError(f"{path}: running statistics for {slot!r} have wrong shape")
         if (running.mean is None) != (running.var is None):

@@ -7,7 +7,7 @@ augmentations (a batch inside the training graph). Both go through
 :func:`transform_batch`, which runs the differentiable ``tensorgrad`` ops,
 so an attack and its augmentation share one size rule and one kernel.
 
-The JPEG operation is a fidelity simulation of a baseline codec: color
+The JPEG operation is a fidelity simulation of a sequential-DCT codec: color
 transform, 8x8 block DCT, quantization by the standard quality-scaled
 tables, and reconstruction. Entropy coding is lossless and therefore
 omitted; chroma subsampling is not applied.

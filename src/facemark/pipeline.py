@@ -424,8 +424,7 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
                 f"recon={float(recon.value)}, decode={float(decode.value)}"
             )
         tg.backward(total)
-        tg.adam_step(model.encoder, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-        tg.adam_step(model.decoder, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+        tg.adam_step(model.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
         model.step += 1
 
         decisions = (logits.value > 0.0).astype(np.float64)
@@ -495,7 +494,7 @@ def watermark_dataset(model, manifest, message, out_dir):
         except (OSError, ValueError) as exc:
             failed.append((str(src), str(exc)))
             continue
-        marked = wm.encode(model, image, msg, mode="infer")
+        marked = wm.encode(model, image, msg)
         dest = out_dir / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
         imageops.save_image(marked, dest)
@@ -560,7 +559,7 @@ def run_sweep(model, images_or_manifest, message, spec=None):
     if images.ndim != 4 or images.shape[0] == 0:
         raise ValueError("sweep needs a non-empty (M,C,H,W) image stack")
 
-    marked = [wm.encode(model, images[i], msg, mode="infer") for i in range(images.shape[0])]
+    marked = [wm.encode(model, images[i], msg) for i in range(images.shape[0])]
 
     cells = []
     for kind, grid in spec.cells:
@@ -598,14 +597,13 @@ def write_sweep_csv(cells, path):
 # verification experiments
 # ---------------------------------------------------------------------------
 
-def run_verification(embeddings, options=VerifyOptions(), baseline=None):
+def run_verification(embeddings, options=VerifyOptions()):
     """One report per (pairing mode, FAR target).
 
-    When a baseline score set is supplied (or derivable as the
-    original-original mode) each report carries a two-sided Welch t-test
-    between the baseline genuine scores and the mode's genuine scores. A
-    FAR target that the imposter sample cannot resolve yields a report with
-    an error record instead of failing the run.
+    When the original-original mode is among ``options.modes``, each report
+    carries a two-sided Welch t-test of its mode's genuine scores against the
+    original-original ones. A FAR target that the imposter sample cannot
+    resolve yields a report with an error record instead of failing the run.
     """
     dims = {e.vector.shape[0] for e in embeddings}
     if len(dims) > 1:
@@ -620,8 +618,7 @@ def run_verification(embeddings, options=VerifyOptions(), baseline=None):
             seed=options.seed,
             max_imposter=options.max_imposter,
         )
-    if baseline is None and "original-original" in score_sets:
-        baseline = score_sets["original-original"]
+    reference = score_sets.get("original-original")
 
     reports = []
     for mode in options.modes:
@@ -636,8 +633,8 @@ def run_verification(embeddings, options=VerifyOptions(), baseline=None):
             "imposter_count": int(scores.imposter.size),
         }
         t_stat = t_df = t_p = None
-        if baseline is not None:
-            t_stat, t_df, t_p = bioeval.welch_t_test(baseline.genuine, scores.genuine)
+        if reference is not None:
+            t_stat, t_df, t_p = bioeval.welch_t_test(reference.genuine, scores.genuine)
         for far in options.far_targets:
             report = bioeval.VerificationReport(
                 pairing=mode,

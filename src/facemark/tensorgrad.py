@@ -493,10 +493,10 @@ def resize_bilinear(x, out_h, out_w):
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resize_bilinear: output size {out_h}x{out_w} is empty")
     out = bilinear_resize(x.value, out_h, out_w)
-    y0, y1, ty = _bilinear_taps(in_h, out_h)
-    x0, x1, tx = _bilinear_taps(in_w, out_w)
 
     def vjp(g):
+        y0, y1, ty = _bilinear_taps(in_h, out_h)
+        x0, x1, tx = _bilinear_taps(in_w, out_w)
         gx = np.zeros_like(x.value)
         ty2 = ty.reshape(-1, 1)
         tx2 = tx.reshape(1, -1)
@@ -516,12 +516,11 @@ def adjust_brightness(x, factor):
     x = _as_node(x)
     if factor <= 0:
         raise ValueError(f"adjust_brightness: factor must be > 0, got {factor}")
-    pre = factor * x.value
-    out = np.clip(pre, 0.0, 1.0)
-    mask = (pre >= 0.0) & (pre <= 1.0)
+    out = np.clip(factor * x.value, 0.0, 1.0)
 
     def vjp(g):
-        return (g * mask * factor,)
+        pre = factor * x.value  # the forward expression, so a forward-only pass builds no mask
+        return (g * ((pre >= 0.0) & (pre <= 1.0)) * factor,)
 
     return _result(out, "adjust_brightness", (x,), vjp)
 
@@ -539,13 +538,12 @@ def adjust_contrast(x, factor, channel_weights):
     wts = np.asarray(channel_weights, dtype=np.float64)
     if wts.shape != (c,):
         raise ValueError(f"adjust_contrast: expected {c} channel weights, got shape {wts.shape}")
-    mu = np.einsum("nchw,c->n", x.value, wts) / (h * w)
-    pre = mu[:, None, None, None] + factor * (x.value - mu[:, None, None, None])
-    out = np.clip(pre, 0.0, 1.0)
-    mask = (pre >= 0.0) & (pre <= 1.0)
+    mu = np.einsum("nchw,c->n", x.value, wts)[:, None, None, None] / (h * w)
+    out = np.clip(mu + factor * (x.value - mu), 0.0, 1.0)
 
     def vjp(g):
-        gm = g * mask
+        pre = mu + factor * (x.value - mu)  # the forward expression, so a forward-only pass builds no mask
+        gm = g * ((pre >= 0.0) & (pre <= 1.0))
         per_image = gm.sum(axis=(1, 2, 3))
         gx = factor * gm + (1.0 - factor) / (h * w) * per_image[:, None, None, None] * wts[None, :, None, None]
         return (gx,)
@@ -760,12 +758,16 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 class ParamSet:
-    """Named trainable parameters plus their Adam moment buffers."""
+    """Named trainable parameters, their Adam moment buffers and their batchnorm running statistics.
+
+    Adding ``<block>.bn.gamma`` creates ``stats["<block>.bn"]``, a :class:`RunningStats`, in parameter order.
+    """
 
     def __init__(self):
         self._params: dict[str, Node] = {}
         self._m1: dict[str, np.ndarray] = {}
         self._m2: dict[str, np.ndarray] = {}
+        self.stats: dict[str, RunningStats] = {}
         self.step_count = 0
 
     def add(self, name, value):
@@ -775,19 +777,12 @@ class ParamSet:
         self._params[name] = node
         self._m1[name] = np.zeros_like(node.value)
         self._m2[name] = np.zeros_like(node.value)
+        if name.endswith(".bn.gamma"):
+            self.stats[name[: -len(".gamma")]] = RunningStats()
         return node
 
     def __getitem__(self, name) -> Node:
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())
@@ -795,10 +790,6 @@ class ParamSet:
     def conv_bn(self, prefix):
         """The conv weight, conv bias, bn gamma and bn beta nodes of the block ``prefix``."""
         return tuple(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS)
-
-    def bn_slots(self):
-        """The ``<block>.bn`` prefix of every batchnorm, in parameter order."""
-        return [name[: -len(".gamma")] for name in self._params if name.endswith(".bn.gamma")]
 
 
 _CONV_BN_PARTS = ("conv.weight", "conv.bias", "bn.gamma", "bn.beta")

@@ -10,13 +10,14 @@ The decoder is a deeper Conv-BN-ReLU stack ending in a block with one
 channel per message bit, a global average pool (which makes it agnostic to
 input size) and a square linear head producing one logit per bit.
 
-Batch normalization uses batch statistics during training and running
-statistics at extraction time.
+One ``tg.ParamSet`` holds both networks' parameters, encoder first, and their
+batchnorm running statistics. Training normalizes by batch statistics and
+updates the running ones; :func:`encode` and :func:`decode_logits` read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,10 +66,7 @@ class WatermarkConfig:
 @dataclass
 class WatermarkModel:
     config: WatermarkConfig
-    encoder: tg.ParamSet
-    decoder: tg.ParamSet
-    enc_stats: list[tg.RunningStats]
-    dec_stats: list[tg.RunningStats]
+    params: tg.ParamSet  # the encoder's ``enc.*`` parameters, then the decoder's ``dec.*``
     step: int = 0
 
 
@@ -93,16 +91,16 @@ def _decoder_layout(cfg):
 
 def _new_model(cfg, rng=None):
     # Encoder first, then decoder, from one rng: this order fixes what a seed builds.
-    encoder = tg.init_params(_encoder_layout(cfg), rng)
-    decoder = tg.init_params(_decoder_layout(cfg), rng)
-    enc_stats = [tg.RunningStats() for _ in encoder.bn_slots()]
-    dec_stats = [tg.RunningStats() for _ in decoder.bn_slots()]
-    return WatermarkModel(cfg, encoder, decoder, enc_stats, dec_stats)
+    return WatermarkModel(cfg, tg.init_params(_encoder_layout(cfg) + _decoder_layout(cfg), rng))
 
 
 def build_model(config, seed=0):
     """He-initialized encoder/decoder pair; the same seed reproduces it."""
     return _new_model(config, np.random.default_rng(seed))
+
+
+def _block(model, x, prefix, mode):
+    return tg.conv_bn_relu(x, *model.params.conv_bn(prefix), mode, model.params.stats[f"{prefix}.bn"])
 
 
 def _message_planes(messages, n, h, w, length):
@@ -128,9 +126,9 @@ def forward_encoder(model, images, messages, mode="train"):
     msg_node = _message_planes(messages, n, h, w, cfg.message_length)
     out = tg.concat_channels(x, msg_node)
     for i in range(cfg.encoder_blocks):
-        out = tg.conv_bn_relu(out, *model.encoder.conv_bn(f"enc.block{i}"), mode, model.enc_stats[i])
+        out = _block(model, out, f"enc.block{i}", mode)
     fused = tg.concat_channels(tg.concat_channels(out, x), msg_node)
-    final = tg.conv2d(fused, model.encoder["enc.out.weight"], model.encoder["enc.out.bias"], pad=1)
+    final = tg.conv2d(fused, model.params["enc.out.weight"], model.params["enc.out.bias"], pad=1)
     return tg.sigmoid(final)
 
 
@@ -145,60 +143,36 @@ def forward_decoder(model, images, mode="train"):
         raise ValueError(f"decoder needs at least {MIN_DECODE_SIDE}x{MIN_DECODE_SIDE} pixels, got {h}x{w}")
     out = x
     for i in range(cfg.decoder_blocks):
-        out = tg.conv_bn_relu(out, *model.decoder.conv_bn(f"dec.block{i}"), mode, model.dec_stats[i])
-    out = tg.conv_bn_relu(out, *model.decoder.conv_bn("dec.bits"), mode, model.dec_stats[cfg.decoder_blocks])
-    pooled = tg.global_avg_pool(out)
-    return tg.affine(pooled, model.decoder["dec.fc.weight"], model.decoder["dec.fc.bias"])
+        out = _block(model, out, f"dec.block{i}", mode)
+    pooled = tg.global_avg_pool(_block(model, out, "dec.bits", mode))
+    return tg.affine(pooled, model.params["dec.fc.weight"], model.params["dec.fc.bias"])
 
 
-def _stats_for_mode(model, mode):
-    # Public single-image calls must not perturb running statistics: train
-    # mode runs stat-free, infer mode reads the stored averages.
-    if mode == "infer":
-        return model
-    return replace(model, enc_stats=[None] * len(model.enc_stats), dec_stats=[None] * len(model.dec_stats))
-
-
-def encode(model, image, message, mode="infer"):
-    """Embed a message into one C x H x W image; output shape equals input."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"encode: mode must be 'train' or 'infer', got {mode!r}")
+def encode(model, image, message):
+    """Embed a message into one C x H x W image with the stored batchnorm statistics; output shape equals input."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3:
         raise ValueError(f"encode expects a CxHxW image, got shape {img.shape}")
     msg = msgcodec.validate_message(message, model.config.message_length)
-    src = _stats_for_mode(model, mode)
-    node = forward_encoder(src, img[None], msg[None].astype(np.float64), mode=mode)
-    return node.value[0]
+    return forward_encoder(model, img[None], msg[None].astype(np.float64), mode="infer").value[0]
 
 
-def decode_logits(model, image, mode="infer"):
-    """Raw per-bit logits for one image of any spatial size >= 8."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"decode_logits: mode must be 'train' or 'infer', got {mode!r}")
+def decode_logits(model, image):
+    """Raw per-bit logits for one image of any spatial size >= 8, with the stored batchnorm statistics."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3:
         raise ValueError(f"decode_logits expects a CxHxW image, got shape {img.shape}")
-    src = _stats_for_mode(model, mode)
-    node = forward_decoder(src, img[None], mode=mode)
-    return node.value[0]
+    return forward_decoder(model, img[None], mode="infer").value[0]
 
 
 def extract(model, image):
     """Hard bit decisions for one image (inference-mode decoding)."""
-    return msgcodec.logits_to_message(decode_logits(model, image, mode="infer"))
-
-
-def _state(model):
-    """The (name, Node) pairs and {slot: RunningStats} that WMF1 files hold."""
-    params = [*model.encoder.items(), *model.decoder.items()]
-    slots = model.encoder.bn_slots() + model.decoder.bn_slots()
-    return params, dict(zip(slots, model.enc_stats + model.dec_stats))
+    return msgcodec.logits_to_message(decode_logits(model, image))
 
 
 def save_model(model, path):
     """Persist parameters, running statistics, config and step counter."""
-    save_state(path, MODEL_MAGIC, asdict(model.config), model.step, *_state(model))
+    save_state(path, MODEL_MAGIC, asdict(model.config), model.step, model.params)
 
 
 def load_model(path):
@@ -206,5 +180,5 @@ def load_model(path):
     config_dict, step, tensors = read_container(path, MODEL_MAGIC)
     model = _new_model(build_config(path, WatermarkConfig, config_dict))
     model.step = step
-    load_state(path, tensors, *_state(model))
+    load_state(path, tensors, model.params)
     return model

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from _synth import identity_embeddings
 from facemark import bioeval as be
 from facemark import cli, pipeline
+from facemark import tensorgrad as tg
 from facemark.containers import write_container
 
 DATA = Path(__file__).parent / "data"
@@ -513,6 +514,18 @@ class TestVerification:
             assert f"pairing {mode}: skipped 1 identities" in err
         assert "skipped" not in out.read_text()
 
+    def test_welch_reference_is_the_original_original_mode(self):
+        embeddings = identity_embeddings(8, 4, dim=8, seed=5)
+        options = pipeline.VerifyOptions(far_targets=(0.1,))
+        reference = be.pair_scores(embeddings, "original-original", pairs_per_id=options.pairs_per_id,
+                                   seed=options.seed, max_imposter=options.max_imposter)
+        for report in pipeline.run_verification(embeddings, options):
+            scores = be.pair_scores(embeddings, report.pairing, pairs_per_id=options.pairs_per_id,
+                                    seed=options.seed, max_imposter=options.max_imposter)
+            assert (report.t_stat, report.t_df, report.t_p) == be.welch_t_test(reference.genuine, scores.genuine)
+        without = pipeline.VerifyOptions(far_targets=(0.1,), modes=("watermarked-original",))
+        (report,) = pipeline.run_verification(embeddings, without)
+        assert (report.t_stat, report.t_df, report.t_p) == (None, None, None)
 
     def test_reports_equal_an_oracle_run(self, monkeypatch):
         # 100 identities x 5 images x 2 sources; the cap subsamples every mode.
@@ -605,12 +618,30 @@ class TestVerifyOptions:
 # EMB1 reader
 # ---------------------------------------------------------------------------
 
-def write_embedder_with(path, extra):
+def write_embedder_with(path, extra, edit_config=lambda c: c):
     cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8)
     model = be._build_embedder(cfg, ["a", "b"], seed=1)
     config = {**asdict(cfg), "class_labels": ["a", "b"]}
     tensors = [(name, node.value) for name, node in model.params.items()] + extra
-    write_container(path, be.EMBEDDER_MAGIC, config, 0, tensors)
+    write_container(path, be.EMBEDDER_MAGIC, edit_config(config), 0, tensors)
+
+
+def without_class_labels(config):
+    return {k: v for k, v in config.items() if k != "class_labels"}
+
+
+BAD_CLASS_LABELS = {
+    "int": lambda c: {**c, "class_labels": 5},
+    "null": lambda c: {**c, "class_labels": None},
+    "string": lambda c: {**c, "class_labels": "ab"},
+    "ints": lambda c: {**c, "class_labels": [1, 2]},
+    "too-few": lambda c: {**c, "class_labels": ["a"]},
+    "too-many": lambda c: {**c, "class_labels": ["a", "b", "c"]},
+    "repeated": lambda c: {**c, "class_labels": ["a", "a"]},
+    "empty": lambda c: {**c, "class_labels": ["a", ""]},
+    "nested": lambda c: {**c, "class_labels": [["a"], ["b"]]},
+    "missing": without_class_labels,
+}
 
 
 class TestLoadEmbedder:
@@ -619,9 +650,10 @@ class TestLoadEmbedder:
         write_embedder_with(path, [("emb.block1.bn.running_mean", np.full(3, 0.25)),
                                    ("emb.block1.bn.running_var", np.full(3, 2.0))])
         model = be.load_embedder(path)
-        np.testing.assert_array_equal(model.stats[1].mean, np.full(3, 0.25))
-        np.testing.assert_array_equal(model.stats[1].var, np.full(3, 2.0))
-        assert model.stats[0].mean is None and model.stats[2].mean is None
+        stats = model.params.stats
+        np.testing.assert_array_equal(stats["emb.block1.bn"].mean, np.full(3, 0.25))
+        np.testing.assert_array_equal(stats["emb.block1.bn"].var, np.full(3, 2.0))
+        assert stats["emb.block0.bn"].mean is None and stats["emb.block2.bn"].mean is None
 
     @pytest.mark.parametrize("name", ["emb.block9.bn.running_mean", "emb.block-1.bn.running_mean",
                                       "emb.block01.bn.running_var", "emb.block0.bn.running_std"])
@@ -631,6 +663,27 @@ class TestLoadEmbedder:
         with pytest.raises(ValueError, match=re.escape(repr(name))):
             be.load_embedder(path)
 
+    @pytest.mark.parametrize("edit", BAD_CLASS_LABELS.values(), ids=BAD_CLASS_LABELS.keys())
+    def test_bad_class_labels_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.emb"
+        write_embedder_with(path, [], edit)
+        with pytest.raises(ValueError, match="bad config block: class_labels must be 2 distinct non-empty strings"):
+            be.load_embedder(path)
+
+    def test_class_labels_kept_in_order(self, tmp_path):
+        path = tmp_path / "m.emb"
+        write_embedder_with(path, [], lambda c: {**c, "class_labels": ["z", "a"]})
+        assert be.load_embedder(path).class_labels == ["z", "a"]
+
+    def test_cli_bad_class_labels_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "m.emb"
+        write_embedder_with(path, [], BAD_CLASS_LABELS["int"])
+        argv = ["verify", "--embedder", str(path), str(tmp_path / "manifest.txt"), str(tmp_path / "out.txt")]
+        assert cli.cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "bad config block: class_labels" in err
+        assert "Traceback" not in err
+
     def test_cli_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "m.emb"
         write_embedder_with(path, [("emb.block9.bn.running_mean", np.zeros(3))])
@@ -639,3 +692,75 @@ class TestLoadEmbedder:
         err = capsys.readouterr().err
         assert "emb.block9.bn.running_mean" in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# embed_images
+# ---------------------------------------------------------------------------
+
+def stats_snapshot(model):
+    stats = model.params.stats.items()
+    return {slot: (r.mean, r.var) if r.mean is None else (r.mean.copy(), r.var.copy()) for slot, r in stats}
+
+
+def assert_stats_unchanged(model, before):
+    for slot, (mean, var) in before.items():
+        running = model.params.stats[slot]
+        assert (running.mean is None) == (mean is None) and (running.var is None) == (var is None), slot
+        if mean is not None:
+            np.testing.assert_array_equal(running.mean, mean)
+            np.testing.assert_array_equal(running.var, var)
+
+
+class TestEmbedImages:
+    def images(self, count=5, size=16, seed=6):
+        rng = np.random.default_rng(seed)
+        return rng.random((count, 3, size, size)), [f"id{i % 2}" for i in range(count)]
+
+    def untrained(self):
+        cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=16)
+        return be._build_embedder(cfg, ["a", "b"], seed=3)
+
+    def test_populated_embedder_runs_in_infer_mode(self):
+        model = be.load_embedder(DATA / "golden_embedder.emb")
+        images, labels = self.images()
+        assert all(r.populated for r in model.params.stats.values())
+        before = stats_snapshot(model)
+        embeddings = be.embed_images(model, images, labels, source="watermarked")
+        features, _ = be.forward_embedder(model, images, "infer")
+        expected = features.value.astype(np.float32)
+        for emb, row, label in zip(embeddings, expected, labels):
+            assert emb.vector.dtype == np.float32
+            np.testing.assert_array_equal(emb.vector, row)
+            assert (emb.identity, emb.source) == (label, "watermarked")
+        assert_stats_unchanged(model, before)
+
+    @pytest.mark.parametrize("populated", [[], ["emb.block1.bn"]], ids=["none", "some"])
+    def test_unpopulated_embedder_embeds_each_image_alone(self, populated):
+        model = self.untrained()
+        for slot in populated:
+            model.params.stats[slot].update(np.full(3, 0.5), np.full(3, 2.0))
+        before = stats_snapshot(model)
+        images, labels = self.images()
+        batch = be.embed_images(model, images, labels)
+        for i, emb in enumerate(batch):
+            (alone,) = be.embed_images(model, images[i : i + 1], labels[i : i + 1])
+            np.testing.assert_array_equal(emb.vector, alone.vector)
+        assert_stats_unchanged(model, before)
+        assert [slot for slot, r in model.params.stats.items() if r.populated] == populated
+
+    def test_empty_identity_label_rejected(self):
+        images, labels = self.images(count=4)[0], ["a", "a", "", ""]
+        with pytest.raises(ValueError, match="every image needs a non-empty identity label"):
+            be.embed_images(self.untrained(), images, labels)
+        with pytest.raises(ValueError, match="every image needs a non-empty identity label"):
+            be.train_embedder(images, labels)  # its class labels would not load back
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+    def test_other_sizes_are_resized_first(self, trained):
+        model = be.load_embedder(DATA / "golden_embedder.emb") if trained else self.untrained()
+        images, labels = self.images(size=24)
+        resized = be.embed_images(model, images, labels)
+        direct = be.embed_images(model, tg.bilinear_resize(images, 16, 16), labels)
+        for a, b in zip(resized, direct):
+            np.testing.assert_array_equal(a.vector, b.vector)

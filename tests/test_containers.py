@@ -181,8 +181,7 @@ class TestReadContainerFuzz:
 
 def wmf_parts():
     model = wm.build_model(wm.WatermarkConfig(message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=2), 1)
-    params = [*model.encoder.items(), *model.decoder.items()]
-    return asdict(model.config), [(name, node.value) for name, node in params]
+    return asdict(model.config), [(name, node.value) for name, node in model.params.items()]
 
 
 def emb_parts():
@@ -212,12 +211,12 @@ class Format:
 FORMATS = {
     "wmf1": Format(
         wm.MODEL_MAGIC, wm.load_model, wmf_parts,
-        lambda m: dict(zip(m.encoder.bn_slots() + m.decoder.bn_slots(), m.enc_stats + m.dec_stats)),
+        lambda m: m.params.stats,
         "dec.block1.conv.bias", "dec.bits.bn", "dec.block9.bn",
     ),
     "emb1": Format(
         be.EMBEDDER_MAGIC, be.load_embedder, emb_parts,
-        lambda m: dict(zip(m.params.bn_slots(), m.stats)),
+        lambda m: m.params.stats,
         "emb.block1.conv.bias", "emb.block1.bn", "emb.block9.bn",
     ),
 }

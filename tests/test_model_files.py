@@ -53,10 +53,10 @@ def test_load_then_save_reproduces_the_golden_files(tmp_path):
     from facemark import bioeval, watermarknet
 
     model = watermarknet.load_model(DATA / WMF_NAME)
-    assert all(stats.populated for stats in model.enc_stats + model.dec_stats)
+    assert all(stats.populated for stats in model.params.stats.values())
     watermarknet.save_model(model, tmp_path / WMF_NAME)
     embedder = bioeval.load_embedder(DATA / EMB_NAME)
-    assert all(stats.populated for stats in embedder.stats)
+    assert all(stats.populated for stats in embedder.params.stats.values())
     bioeval.save_embedder(embedder, tmp_path / EMB_NAME)
     for name in (WMF_NAME, EMB_NAME):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

@@ -97,9 +97,8 @@ for kind in ("crop", "resize", "brightness", "contrast", "jpeg"):
     )
     model, _ = pipeline.train_watermark(config, images)
     digest = hashlib.sha256()
-    for params in (model.encoder, model.decoder):
-        for _, node in params.items():
-            digest.update(node.value.tobytes())
+    for _, node in model.params.items():
+        digest.update(node.value.tobytes())
     print(kind, digest.hexdigest()[:16])
 """
 AUGMENTED_DIGESTS = {
@@ -109,6 +108,21 @@ AUGMENTED_DIGESTS = {
     "contrast": "806e813eeff588be",
     "jpeg": "a50c23e0a3b86e36",
 }
+
+
+def test_one_adam_step_per_training_step(monkeypatch):
+    from _synth import texture_images
+    from facemark import tensorgrad as tg
+
+    calls = []
+    adam_step = tg.adam_step
+    monkeypatch.setattr(tg, "adam_step", lambda params, **kw: (calls.append(params), adam_step(params, **kw)))
+    config = pipeline.TrainConfig(
+        steps=2, batch_size=2, image_size=16, message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+    )
+    model, _ = pipeline.train_watermark(config, texture_images(3, 16, seed=2))
+    assert calls == [model.params, model.params]
+    assert model.params.step_count == model.step == 2
 
 
 def test_augmented_training_per_kind_repeats_recorded_parameters():

@@ -813,6 +813,25 @@ class TestBackward:
         assert report.passed, str(report)
 
 
+class TestParamSet:
+    def test_batchnorm_gamma_creates_its_running_stats_slot(self):
+        head = [("net.head.gamma", (4,)), *tg.conv_bn_layout("net.out", 4, 2)]
+        params = tg.init_params(tg.conv_bn_stack_layout("net", 2, 3, 4) + head)
+        assert list(params.stats) == ["net.block0.bn", "net.block1.bn", "net.out.bn"]
+        assert all(isinstance(r, tg.RunningStats) and not r.populated for r in params.stats.values())
+
+    def test_forward_pass_updates_the_slot_it_names(self):
+        from facemark import watermarknet as wm
+
+        config = wm.WatermarkConfig(message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1)
+        model = wm.build_model(config)
+        images = np.random.default_rng(41).random((2, 3, 8, 8))
+        wm.forward_decoder(model, images)
+        populated = [slot for slot, r in model.params.stats.items() if r.populated]
+        assert populated == ["dec.block0.bn", "dec.bits.bn"]
+        assert model.params.stats["dec.bits.bn"].mean.shape == (4,)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         params = tg.ParamSet()
@@ -889,6 +908,20 @@ class TestAugmentationOps:
 
         assert tg.finite_diff_check({"x": x}, build_brightness, tolerance=1e-6).passed
         assert tg.finite_diff_check({"x": x}, build_contrast, tolerance=1e-5).passed
+
+    def test_clamp_passes_gradient_on_the_closed_interval(self):
+        # brightness 2: pre = 0, 1, 1.5 -> gradient 2, 2, 0
+        x = tg.parameter(np.array([0.0, 0.5, 0.75]).reshape(1, 1, 1, 3))
+        tg.backward(tg.sum_all(tg.adjust_brightness(x, 2.0)))
+        np.testing.assert_array_equal(x.grad.ravel(), [2.0, 2.0, 0.0])
+        # contrast 2 about mu = 0.5: pre lands exactly on 0 and 1, so both pixels pass
+        x = tg.parameter(np.array([0.25, 0.75]).reshape(1, 1, 1, 2))
+        tg.backward(tg.sum_all(tg.adjust_contrast(x, 2.0, [1.0])))
+        np.testing.assert_array_equal(x.grad.ravel(), [1.0, 1.0])
+        # contrast 3: pre = -0.7 and 1.7, both clamped
+        x = tg.parameter(np.array([0.1, 0.9]).reshape(1, 1, 1, 2))
+        tg.backward(tg.sum_all(tg.adjust_contrast(x, 3.0, [1.0])))
+        np.testing.assert_array_equal(x.grad.ravel(), [0.0, 0.0])
 
     def test_straight_through_passes_gradient(self):
         x = tg.parameter(np.linspace(0.1, 0.9, 12).reshape(1, 3, 2, 2))
@@ -985,6 +1018,6 @@ class TestTrainingGraphMemory:
             _, backward_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(node.grad is not None for _, node in model.encoder.items())
+        assert all(node.grad is not None for _, node in model.params.items())
         assert forward_graph < 250e6
         assert backward_peak < 300e6
