@@ -158,26 +158,6 @@ def _pool(by_identity, identities, source):
     return pool, offsets
 
 
-def _gram_scorer(probes, refs):
-    """Cosine scores for index pairs into ``probes`` x ``refs`` from one Gram matrix."""
-    shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
-    if len(shapes) > 1:
-        raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
-    p = np.array([e.vector for e in probes], dtype=np.float64)
-    r = p if refs is probes else np.array([e.vector for e in refs], dtype=np.float64)
-    gram = p @ r.T
-    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
-    r_norm = p_norm if r is p else np.sqrt(np.einsum("ij,ij->i", r, r))
-    p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
-
-    def score(a, b):
-        if p_zero[a].any() or r_zero[b].any():
-            raise ValueError("cosine similarity is undefined for a zero-norm vector")
-        return np.clip(gram[a, b] / (p_norm[a] * r_norm[b]), -1.0, 1.0)
-
-    return score
-
-
 def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_000):
     """Build genuine and imposter cosine scores for one pairing mode.
 
@@ -185,16 +165,18 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     underlying images; underlying images are matched positionally within
     each (identity, source) group, so mirrored original/watermarked sets
     pair correctly. Symmetric modes use unordered pairs; the asymmetric
-    watermarked-original mode uses ordered (probe, reference) pairs.
+    watermarked-original mode uses ordered (probe, reference) pairs. Pairs
+    are the cells of boolean masks over the probe x reference matrix, whose
+    rows and columns run identity by identity, taken in row-major order.
 
     ``pairs_per_id`` > 0 caps genuine pairs per identity (seeded choice);
     imposter pairs above ``max_imposter`` are uniformly subsampled, and the
     count before subsampling is kept as ``imposter_candidates``.
 
-    Scores come from one float64 Gram matrix of the probe and reference
-    vectors, so each lies within 1e-15 of :func:`cosine_similarity` on the
-    same pair (the dot products sum in a different order); pair order and
-    the seeded selection do not depend on that.
+    Each score is ``gram[a, b] / (|p_a| |r_b|)``, clipped to [-1, 1], from
+    one float64 Gram matrix, so it lies within 1e-15 of
+    :func:`cosine_similarity` on the same pair (the dot products sum in a
+    different order). A zero-norm vector raises only in a scored pair.
     """
     probe_src, ref_src = _mode_sources(pairing)
     symmetric = probe_src == ref_src
@@ -207,43 +189,56 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     probes, p_off = _pool(by_identity, identities, probe_src)
     refs, r_off = (probes, p_off) if symmetric else _pool(by_identity, identities, ref_src)
 
-    gen_a, gen_b = [], []
-    skipped = 0
-    for k in range(len(identities)):
-        n_p, n_r = p_off[k + 1] - p_off[k], r_off[k + 1] - r_off[k]
-        if symmetric:
-            i, j = np.triu_indices(n_p, 1)
-        else:
-            i, j = np.nonzero(~np.eye(n_p, n_r, dtype=bool))
-        if i.size == 0:
-            skipped += 1
-            continue
-        if pairs_per_id and i.size > pairs_per_id:
-            idx = rng.choice(i.size, size=pairs_per_id, replace=False)
-            i, j = i[idx], j[idx]
-        gen_a.append(p_off[k] + i)
-        gen_b.append(r_off[k] + j)
-
-    if not gen_a:
+    n_p, n_r = np.diff(p_off), np.diff(r_off)
+    p_id = np.repeat(np.arange(len(identities)), n_p)
+    r_id = np.repeat(np.arange(len(identities)), n_r)
+    same = np.equal.outer(p_id, r_id)
+    if symmetric:
+        per_identity = n_p * (n_p - 1) // 2
+        upper = np.less.outer(np.arange(len(probes)), np.arange(len(refs)))
+        genuine_cells, imposter_cells = same & upper, ~same & upper
+    else:
+        per_identity = n_p * n_r - np.minimum(n_p, n_r)
+        p_local = np.arange(len(probes)) - np.repeat(p_off[:-1], n_p)
+        r_local = np.arange(len(refs)) - np.repeat(r_off[:-1], n_r)
+        genuine_cells, imposter_cells = same & np.not_equal.outer(p_local, r_local), ~same
+    skipped = int(np.count_nonzero(per_identity == 0))
+    if skipped == len(identities):
         raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
-    score = _gram_scorer(probes, refs)
-    genuine = score(np.concatenate(gen_a), np.concatenate(gen_b))
+    gen = np.flatnonzero(genuine_cells)
+    if pairs_per_id:
+        blocks = np.split(gen, np.cumsum(per_identity)[:-1])
+        gen = np.concatenate([b[rng.choice(b.size, size=pairs_per_id, replace=False)] if b.size > pairs_per_id
+                              else b for b in blocks])
+
+    shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
+    if len(shapes) > 1:
+        raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
+    p = np.array([e.vector for e in probes], dtype=np.float64)
+    # p @ p.T and p @ copy(p).T round differently, so the symmetric modes keep r = p.
+    r = p if symmetric else np.array([e.vector for e in refs], dtype=np.float64)
+    gram = (p @ r.T).ravel()
+    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
+    r_norm = p_norm if symmetric else np.sqrt(np.einsum("ij,ij->i", r, r))
+    norms = np.multiply.outer(p_norm, r_norm).ravel()
+    p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
+
+    def score(cells):
+        if p_zero.any() or r_zero.any():
+            a, b = np.divmod(cells, len(refs))
+            if p_zero[a].any() or r_zero[b].any():
+                raise ValueError("cosine similarity is undefined for a zero-norm vector")
+        return np.clip(gram[cells] / norms[cells], -1.0, 1.0)
+
+    genuine = score(gen)
     if len(identities) < 2:
         raise ValueError("imposter pairs require at least 2 identities")
 
-    p_id = np.repeat(np.arange(len(identities)), np.diff(p_off))
-    if symmetric:
-        a, b = np.triu_indices(len(probes), 1)
-        cross = p_id[a] != p_id[b]
-        a, b = a[cross], b[cross]
-    else:
-        r_id = np.repeat(np.arange(len(identities)), np.diff(r_off))
-        a, b = np.nonzero(p_id[:, None] != r_id[None, :])
-    candidates = a.size
+    imp = np.flatnonzero(imposter_cells)
+    candidates = imp.size
     if candidates > max_imposter:
-        idx = rng.choice(candidates, size=max_imposter, replace=False)
-        a, b = a[idx], b[idx]
-    imposter = score(a, b)
+        imp = imp[rng.choice(candidates, size=max_imposter, replace=False)]
+    imposter = score(imp)
 
     return ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped,
                     imposter_candidates=candidates)

@@ -38,7 +38,9 @@ def _build_parser():
     p.add_argument("--config", required=True, help="key=value training configuration")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--history", default=None, help="write per-step metrics CSV here")
-    p.add_argument("--checkpoint-dir", default=None, help="directory for periodic checkpoints")
+    p.add_argument("--checkpoint-dir", default=None,
+                   help="directory for periodic checkpoints, for extract/sweep/evaluation; "
+                        "training cannot resume from one (no Adam state is saved)")
     p.add_argument("manifest", help="training image manifest (path,identity CSV)")
     p.add_argument("out_model", help="output model file (WMF1)")
 

@@ -380,6 +380,11 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
 
     Returns the model and a per-step metrics history (also carrying the
     total loss for bookkeeping beyond the CSV schema).
+
+    ``checkpoint_dir`` files are for ``extract``, ``sweep`` and evaluation:
+    WMF1 keeps no Adam moments or Adam step count, and the rng restarts
+    from ``config.seed``, so training a loaded ``model`` restarts Adam's
+    bias correction at t=1 rather than resuming the run.
     """
     data = np.asarray(images, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] == 0:
@@ -603,7 +608,9 @@ def run_verification(embeddings, options=VerifyOptions()):
     When the original-original mode is among ``options.modes``, each report
     carries a two-sided Welch t-test of its mode's genuine scores against the
     original-original ones. A FAR target that the imposter sample cannot
-    resolve yields a report with an error record instead of failing the run.
+    resolve, or a t-test that is undefined (fewer than 2 genuine scores on
+    a side, or no variance in both), yields a report with an error record
+    instead of failing the run; the t-test fields then stay ``None``.
     """
     dims = {e.vector.shape[0] for e in embeddings}
     if len(dims) > 1:
@@ -632,9 +639,12 @@ def run_verification(embeddings, options=VerifyOptions()):
             "imposter_std": float(scores.imposter.std(ddof=1)) if scores.imposter.size > 1 else 0.0,
             "imposter_count": int(scores.imposter.size),
         }
-        t_stat = t_df = t_p = None
+        t_stat = t_df = t_p = welch_error = None
         if reference is not None:
-            t_stat, t_df, t_p = bioeval.welch_t_test(reference.genuine, scores.genuine)
+            try:
+                t_stat, t_df, t_p = bioeval.welch_t_test(reference.genuine, scores.genuine)
+            except ValueError as exc:
+                welch_error = str(exc)
         for far in options.far_targets:
             report = bioeval.VerificationReport(
                 pairing=mode,
@@ -643,6 +653,7 @@ def run_verification(embeddings, options=VerifyOptions()):
                 t_stat=t_stat,
                 t_df=t_df,
                 t_p=t_p,
+                error=welch_error,
                 skipped_identities=scores.skipped_identities,
                 imposter_candidates=scores.imposter_candidates,
                 **stats,
@@ -651,7 +662,7 @@ def run_verification(embeddings, options=VerifyOptions()):
                 tar, tau, achieved = bioeval.tar_at_far(scores, far)
                 report.tar, report.tau, report.achieved_far = tar, tau, achieved
             except ValueError as exc:
-                report.error = str(exc)
+                report.error = str(exc) if welch_error is None else f"{welch_error}; {exc}"
             reports.append(report)
     return reports
 

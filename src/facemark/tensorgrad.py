@@ -61,7 +61,6 @@ __all__ = [
     "straight_through",
     "add",
     "scale",
-    "sum_all",
     "mse_loss",
     "bce_logits_loss",
     "softmax_cross_entropy",
@@ -590,17 +589,6 @@ def scale(x, c):
         return (g * c,)
 
     return _result(out, "scale", (x,), vjp)
-
-
-def sum_all(x):
-    """Sum of all elements, as a scalar node."""
-    x = _as_node(x)
-    out = np.asarray(x.value.sum())
-
-    def vjp(g):
-        return (np.broadcast_to(g, x.value.shape).copy(),)
-
-    return _result(out, "sum_all", (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Procedural test data: textures for watermark training, a small
 identity-structured face-stand-in set for verification experiments, and
-identity-structured embeddings for the verification metrics.
+identity-structured embeddings for the verification metrics. Also the
+scalar loss the gradient tests backpropagate from.
 
 Pixel values stay inside [0.08, 0.92] so the sigmoid-output encoder never
 has to chase saturated targets.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from facemark import tensorgrad as tg
 from facemark.bioeval import Embedding
 
 
@@ -80,3 +82,10 @@ def identity_embeddings(num_identities, images_per_id, dim=8, seed=0):
         out += [Embedding(v, label, "original") for v in originals]
         out += [Embedding(v, label, "watermarked") for v in marked]
     return out
+
+
+def sum_all(x):
+    """Sum of all elements of node ``x``, as a scalar node whose vjp broadcasts the gradient back."""
+    shape = x.value.shape
+    return tg.Node(x.value.sum(), op="sum_all", parents=(x,), requires_grad=x.requires_grad,
+                   vjp=(lambda g: (np.broadcast_to(g, shape).copy(),)) if x.requires_grad else None)

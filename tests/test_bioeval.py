@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -77,11 +78,87 @@ def oracle_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter
             for re_, rid in ref_list:
                 if pid != rid:
                     cross.append((pe, re_))
-    if len(cross) > max_imposter:
-        idx = rng.choice(len(cross), size=max_imposter, replace=False)
+    candidates = len(cross)
+    if candidates > max_imposter:
+        idx = rng.choice(candidates, size=max_imposter, replace=False)
         cross = [cross[int(i)] for i in idx]
     imposter = [be.cosine_similarity(p, r) for p, r in cross]
-    return be.ScoreSet(np.array(genuine), np.array(imposter), pairing, skipped)
+    return be.ScoreSet(np.array(genuine), np.array(imposter), pairing, skipped, candidates)
+
+
+def _gram_scorer(probes, refs):
+    """Cosine scores for index pairs into ``probes`` x ``refs`` from one Gram matrix."""
+    shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
+    if len(shapes) > 1:
+        raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
+    p = np.array([e.vector for e in probes], dtype=np.float64)
+    r = p if refs is probes else np.array([e.vector for e in refs], dtype=np.float64)
+    gram = p @ r.T
+    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
+    r_norm = p_norm if r is p else np.sqrt(np.einsum("ij,ij->i", r, r))
+    p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
+
+    def score(a, b):
+        if p_zero[a].any() or r_zero[b].any():
+            raise ValueError("cosine similarity is undefined for a zero-norm vector")
+        return np.clip(gram[a, b] / (p_norm[a] * r_norm[b]), -1.0, 1.0)
+
+    return score
+
+
+def index_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_000):
+    """pair_scores as it was before the pair masks: per-identity index arrays."""
+    probe_src, ref_src = be._mode_sources(pairing)
+    symmetric = probe_src == ref_src
+    rng = np.random.default_rng(seed)
+
+    by_identity: dict[str, dict[str, list[be.Embedding]]] = {}
+    for emb in embeddings:
+        by_identity.setdefault(emb.identity, {}).setdefault(emb.source, []).append(emb)
+    identities = sorted(by_identity)
+    probes, p_off = be._pool(by_identity, identities, probe_src)
+    refs, r_off = (probes, p_off) if symmetric else be._pool(by_identity, identities, ref_src)
+
+    gen_a, gen_b = [], []
+    skipped = 0
+    for k in range(len(identities)):
+        n_p, n_r = p_off[k + 1] - p_off[k], r_off[k + 1] - r_off[k]
+        if symmetric:
+            i, j = np.triu_indices(n_p, 1)
+        else:
+            i, j = np.nonzero(~np.eye(n_p, n_r, dtype=bool))
+        if i.size == 0:
+            skipped += 1
+            continue
+        if pairs_per_id and i.size > pairs_per_id:
+            idx = rng.choice(i.size, size=pairs_per_id, replace=False)
+            i, j = i[idx], j[idx]
+        gen_a.append(p_off[k] + i)
+        gen_b.append(r_off[k] + j)
+
+    if not gen_a:
+        raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
+    score = _gram_scorer(probes, refs)
+    genuine = score(np.concatenate(gen_a), np.concatenate(gen_b))
+    if len(identities) < 2:
+        raise ValueError("imposter pairs require at least 2 identities")
+
+    p_id = np.repeat(np.arange(len(identities)), np.diff(p_off))
+    if symmetric:
+        a, b = np.triu_indices(len(probes), 1)
+        cross = p_id[a] != p_id[b]
+        a, b = a[cross], b[cross]
+    else:
+        r_id = np.repeat(np.arange(len(identities)), np.diff(r_off))
+        a, b = np.nonzero(p_id[:, None] != r_id[None, :])
+    candidates = a.size
+    if candidates > max_imposter:
+        idx = rng.choice(candidates, size=max_imposter, replace=False)
+        a, b = a[idx], b[idx]
+    imposter = score(a, b)
+
+    return be.ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped,
+                       imposter_candidates=candidates)
 
 
 def loop_eer(scores):
@@ -209,6 +286,7 @@ def assert_matches_oracle(embeddings, pairing, **kwargs):
     got = be.pair_scores(embeddings, pairing, **kwargs)
     assert got.pairing == pairing
     assert got.skipped_identities == want.skipped_identities
+    assert got.imposter_candidates == want.imposter_candidates
     assert got.genuine.shape == want.genuine.shape
     assert got.imposter.shape == want.imposter.shape
     np.testing.assert_allclose(got.genuine, want.genuine, rtol=0, atol=SCORE_TOL)
@@ -287,6 +365,86 @@ class TestPairScores:
             be.pair_scores(make_embeddings({"a": {"original": 3}}), "original-original")
         with pytest.raises(ValueError, match="unknown pairing mode"):
             be.pair_scores(make_embeddings(LAYOUTS["balanced"]), "original-marked")
+
+
+def pair_outcome(fn, embeddings, pairing, **kwargs):
+    """pair_scores' result as exact bytes and counts, or its ValueError message."""
+    try:
+        got = fn(embeddings, pairing, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return (got.genuine.dtype, got.genuine.tobytes(), got.imposter.dtype, got.imposter.tobytes(),
+            got.skipped_identities, got.imposter_candidates)
+
+
+CAPS = {"none": {}, "pairs_per_id": {"pairs_per_id": 3}, "max_imposter": {"max_imposter": 37},
+        "both": {"pairs_per_id": 3, "max_imposter": 37}}
+
+
+class TestPairScoresBitIdentical:
+    """The pair masks pick the index arrays' pairs, in their order, with the same bits."""
+
+    @pytest.mark.parametrize("cap", sorted(CAPS))
+    @pytest.mark.parametrize("pairing", be.PAIRING_MODES)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layouts(self, layout, pairing, cap):
+        embeddings = make_embeddings(LAYOUTS[layout])
+        kwargs = {**CAPS[cap], "seed": 9}
+        assert pair_outcome(be.pair_scores, embeddings, pairing, **kwargs) == \
+            pair_outcome(index_pair_scores, embeddings, pairing, **kwargs)
+
+    @pytest.mark.parametrize("pairs_per_id", [0, 4])
+    @pytest.mark.parametrize("pairing", be.PAIRING_MODES)
+    def test_benchmark_shape(self, pairing, pairs_per_id):
+        embeddings = identity_embeddings(100, 5)
+        kwargs = {"pairs_per_id": pairs_per_id, "max_imposter": 200_000, "seed": 3}
+        got = pair_outcome(be.pair_scores, embeddings, pairing, **kwargs)
+        assert got == pair_outcome(index_pair_scores, embeddings, pairing, **kwargs)
+        assert got[-1] == (247_500 if pairing == "watermarked-original" else 123_750)
+
+    @pytest.mark.parametrize("pairing", be.PAIRING_MODES)
+    def test_errors(self, pairing):
+        probe_src, _, ref_src = pairing.partition("-")
+        zero = make_embeddings(LAYOUTS["balanced"]) + [be.Embedding(np.zeros(6), "id2", ref_src)]
+        narrow = make_embeddings(LAYOUTS["balanced"]) + [be.Embedding(np.ones(5), "id1", probe_src)]
+        for embeddings in (zero, narrow, make_embeddings({"a": {"original": 3, "watermarked": 3}}),
+                           make_embeddings({"a": {"original": 1, "watermarked": 1}, "b": {"original": 1}})):
+            want = pair_outcome(index_pair_scores, embeddings, pairing)
+            assert isinstance(want, str)
+            assert pair_outcome(be.pair_scores, embeddings, pairing) == want
+
+
+@st.composite
+def pairing_cases(draw):
+    """Small identity layouts, maybe with an extra source tag and a zero-norm vector, plus caps and seed."""
+    sources = ["original", "watermarked"] + (["augmented"] if draw(st.booleans()) else [])
+    layout = {f"id{k}": {source: draw(st.integers(0, 4)) for source in sources}
+              for k in range(draw(st.integers(1, 6)))}
+    embeddings = make_embeddings(layout, seed=draw(st.integers(0, 1000)))
+    if draw(st.booleans()):
+        zero = be.Embedding(np.zeros(6), draw(st.sampled_from(sorted(layout))), draw(st.sampled_from(sources)))
+        embeddings.insert(draw(st.integers(0, len(embeddings))), zero)
+    kwargs = {"pairs_per_id": draw(st.integers(0, 8)), "max_imposter": draw(st.integers(1, 80)),
+              "seed": draw(st.integers(0, 2**16))}
+    return embeddings, draw(st.sampled_from(be.PAIRING_MODES)), kwargs
+
+
+class TestPairScoresFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(pairing_cases())
+    def test_matches_oracle(self, case):
+        embeddings, pairing, kwargs = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = oracle_pair_scores(embeddings, pairing, **kwargs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    be.pair_scores(embeddings, pairing, **kwargs)
+                assert str(raised.value) == str(exc)
+                return
+            got = assert_matches_oracle(embeddings, pairing, **kwargs)
+        assert got.imposter.size == min(want.imposter_candidates, kwargs["max_imposter"])
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +719,48 @@ class TestVerification:
         be.save_embeddings(identity_embeddings(6, 3, seed=1), path)
         assert cli.cli_dispatch(["verify", "--embeddings", str(path), str(tmp_path / "out.txt")]) == 0
         assert "imposter pairs" not in capsys.readouterr().err
+
+    def test_undefined_welch_test_is_an_error_record(self):
+        # Only "a" has two images, so the symmetric modes hold one genuine score each.
+        embeddings = make_embeddings({"a": dict.fromkeys(BOTH, 2), "b": dict.fromkeys(BOTH, 1),
+                                      "c": dict.fromkeys(BOTH, 1)})
+        reports = pipeline.run_verification(embeddings, pipeline.VerifyOptions(far_targets=(0.5, 0.01)))
+        welch = "welch_t_test requires at least 2 values per sample"
+        imposters = {"original-original": 5, "watermarked-original": 10, "watermarked-watermarked": 5}
+        assert [(r.pairing, r.far_target) for r in reports] == [(m, f) for m in be.PAIRING_MODES for f in (0.5, 0.01)]
+        for r in reports:
+            assert (r.t_stat, r.t_df, r.t_p) == (None, None, None)
+            assert r.eer_value is not None and r.imposter_count == imposters[r.pairing]
+            if r.far_target == 0.5:
+                assert r.error == welch and r.tar is not None
+            else:
+                assert r.error == (f"{welch}; FAR target 0.01 is unresolvable with {imposters[r.pairing]} "
+                                   "imposter scores; need at least 100")
+                assert r.tar is None
+
+    def test_zero_variance_welch_test_is_an_error_record(self):
+        # Axis vectors: every genuine score is exactly 1 and every imposter score exactly 0.
+        embeddings = [be.Embedding(np.eye(4)[k], identity, source)
+                      for k, identity in enumerate("ab") for source in BOTH for _ in range(2)]
+        for r in pipeline.run_verification(embeddings, pipeline.VerifyOptions(far_targets=(0.5,))):
+            assert r.error == "welch_t_test: both samples have zero variance"
+            assert (r.t_stat, r.t_df, r.t_p) == (None, None, None)
+            assert (r.tar, r.tau, r.eer_value) == (0.0, float("inf"), 0.0)  # all imposters tie at 0
+
+    def test_cli_writes_reports_when_the_welch_test_is_undefined(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        be.save_embeddings(make_embeddings({"a": dict.fromkeys(BOTH, 2), "b": dict.fromkeys(BOTH, 1),
+                                            "c": dict.fromkeys(BOTH, 1)}), path)
+        config = tmp_path / "verify.cfg"
+        config.write_text("far_targets = 0.5\n")
+        out = tmp_path / "reports.txt"
+        assert cli.cli_dispatch(["verify", "--config", str(config), "--embeddings", str(path), str(out)]) == 0
+        err = capsys.readouterr().err
+        for mode in be.PAIRING_MODES:
+            assert f"report ({mode}, far=0.5) incomplete: welch_t_test requires at least 2 values per sample" in err
+        text = out.read_text()
+        assert text.count("error: welch_t_test requires at least 2 values per sample\n") == 3
+        assert "t_stat" not in text and text.count("tar: ") == 3
 
     def test_golden_report(self, tmp_path):
         embeddings = DATA / "verify_golden_embeddings.txt"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from facemark import imageops as iops
 from facemark import tensorgrad as tg
-from _synth import texture_images
+from _synth import sum_all, texture_images
 
 
 def transform(img, kind, factor, seed=0):
@@ -368,7 +368,7 @@ class TestTransformBatch:
     @pytest.mark.parametrize("kind, factor", KIND_FACTORS[:-1], ids=[k for k, _ in KIND_FACTORS[:-1]])
     def test_gradient_reaches_the_input(self, kind, factor):
         x = tg.parameter(texture_images(2, 16, seed=25))
-        tg.backward(tg.sum_all(iops.transform_batch(x, kind, factor, np.random.default_rng(1))))
+        tg.backward(sum_all(iops.transform_batch(x, kind, factor, np.random.default_rng(1))))
         assert x.grad.shape == x.value.shape and np.any(x.grad != 0.0)
         if kind == "jpeg":  # straight-through: the gradient passes unchanged
             np.testing.assert_array_equal(x.grad, np.ones_like(x.value))

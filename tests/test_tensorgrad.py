@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import facemark.tensorgrad as tg
+from _synth import sum_all
 
 
 def naive_conv2d(x, w, b, pad=0):
@@ -574,7 +575,7 @@ class TestConvBnReluMatchesComposition:
         nodes = [tg.parameter(v) for v in values]
         out = tg.conv_bn_relu(tg.conv_bn_relu(*nodes[:5]), *nodes[5:])
         assert calls == {"conv2d.fwd": 2, "batchnorm2d.fwd": 2}
-        tg.backward(tg.sum_all(out))
+        tg.backward(sum_all(out))
         assert calls == {"conv2d.fwd": 2, "batchnorm2d.fwd": 2, "conv2d.vjp": 2, "batchnorm2d.vjp": 2}
 
     def test_conv_output_is_released(self, monkeypatch):
@@ -600,18 +601,18 @@ class TestElementwise:
 
     def test_relu_gradients(self):
         neg = tg.parameter(-np.ones((2, 2)))
-        loss = tg.sum_all(tg.relu(neg))
+        loss = sum_all(tg.relu(neg))
         tg.backward(loss)
         np.testing.assert_array_equal(neg.grad, np.zeros((2, 2)))
 
         pos = tg.parameter(np.ones((2, 2)))
-        loss = tg.sum_all(tg.relu(pos))
+        loss = sum_all(tg.relu(pos))
         tg.backward(loss)
         np.testing.assert_array_equal(pos.grad, np.ones((2, 2)))
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = tg.parameter(np.zeros((3,)))
-        loss = tg.sum_all(tg.relu(x))
+        loss = sum_all(tg.relu(x))
         tg.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros(3))
 
@@ -620,7 +621,7 @@ class TestElementwise:
         out = tg.sigmoid(x)
         assert np.all(out.value >= 0.0) and np.all(out.value <= 1.0)
         assert out.value[1] == 0.5
-        tg.backward(tg.sum_all(out))
+        tg.backward(sum_all(out))
         assert x.grad[1] == pytest.approx(0.25)
 
 
@@ -674,7 +675,7 @@ class TestPoolConcat:
     def test_concat_gradient_splits(self):
         a = tg.parameter(np.ones((1, 2, 3, 3)))
         b = tg.parameter(np.ones((1, 4, 3, 3)))
-        tg.backward(tg.sum_all(tg.concat_channels(a, b)))
+        tg.backward(sum_all(tg.concat_channels(a, b)))
         np.testing.assert_array_equal(a.grad, np.ones((1, 2, 3, 3)))
         np.testing.assert_array_equal(b.grad, np.ones((1, 4, 3, 3)))
 
@@ -724,7 +725,7 @@ class TestLosses:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = tg.parameter(np.random.default_rng(12).standard_normal((3, 4)))
-        tg.backward(tg.sum_all(x))
+        tg.backward(sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_mse_against_detached_copy_is_zero_grad(self):
@@ -735,7 +736,7 @@ class TestBackward:
 
     def test_double_backward_raises(self):
         x = tg.parameter(np.ones(3))
-        loss = tg.sum_all(x)
+        loss = sum_all(x)
         tg.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             tg.backward(loss)
@@ -747,7 +748,7 @@ class TestBackward:
         b = tg.parameter(rng.standard_normal(3))
         gamma, beta = tg.parameter(np.ones(3)), tg.parameter(np.zeros(3))
         hidden = tg.conv_bn_relu(x, w, b, gamma, beta)
-        loss = tg.sum_all(tg.scale(hidden, 0.5))
+        loss = sum_all(tg.scale(hidden, 0.5))
         return (x, w, b, gamma, beta), hidden, loss
 
     def test_second_backward_through_loss_raises(self):
@@ -760,11 +761,11 @@ class TestBackward:
         _, hidden, loss = self._small_graph()
         tg.backward(loss)
         with pytest.raises(RuntimeError, match="already"):
-            tg.backward(tg.sum_all(hidden))
+            tg.backward(sum_all(hidden))
         scaled = loss.parents[0]
         assert scaled.op == "scale"
         with pytest.raises(RuntimeError, match="already"):
-            tg.backward(tg.sum_all(tg.scale(scaled, 2.0)))
+            tg.backward(sum_all(tg.scale(scaled, 2.0)))
 
     def test_only_leaves_keep_gradients(self):
         (x, *params), hidden, loss = self._small_graph()
@@ -792,7 +793,7 @@ class TestBackward:
         y = tg.scale(x, 2.0)
         y.parents = (y,)  # malformed graph
         with pytest.raises(ValueError, match="cycle"):
-            tg.backward(tg.sum_all(y))
+            tg.backward(sum_all(y))
 
     def test_composite_graph_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -879,7 +880,7 @@ class TestAugmentationOps:
         x = tg.parameter(rng.random((1, 3, 8, 8)))
         out = tg.crop_spatial(x, 2, 3, 4, 5)
         np.testing.assert_array_equal(out.value, x.value[:, :, 2:6, 3:8])
-        tg.backward(tg.sum_all(out))
+        tg.backward(sum_all(out))
         assert x.grad.sum() == out.value.size
         assert np.all(x.grad[:, :, 2:6, 3:8] == 1.0)
         assert x.grad[0, 0, 0, 0] == 0.0
@@ -891,7 +892,7 @@ class TestAugmentationOps:
         np.testing.assert_array_equal(out.value, tg.bilinear_resize(x.value, 5, 6))
 
         def build():
-            return tg.sum_all(tg.resize_bilinear(x, 5, 6))
+            return sum_all(tg.resize_bilinear(x, 5, 6))
 
         assert tg.finite_diff_check({"x": x}, build, tolerance=1e-6).passed
 
@@ -901,10 +902,10 @@ class TestAugmentationOps:
         weights = np.array([0.299, 0.587, 0.114])
 
         def build_brightness():
-            return tg.sum_all(tg.adjust_brightness(x, 1.4))
+            return sum_all(tg.adjust_brightness(x, 1.4))
 
         def build_contrast():
-            return tg.sum_all(tg.adjust_contrast(x, 1.7, weights))
+            return sum_all(tg.adjust_contrast(x, 1.7, weights))
 
         assert tg.finite_diff_check({"x": x}, build_brightness, tolerance=1e-6).passed
         assert tg.finite_diff_check({"x": x}, build_contrast, tolerance=1e-5).passed
@@ -912,21 +913,21 @@ class TestAugmentationOps:
     def test_clamp_passes_gradient_on_the_closed_interval(self):
         # brightness 2: pre = 0, 1, 1.5 -> gradient 2, 2, 0
         x = tg.parameter(np.array([0.0, 0.5, 0.75]).reshape(1, 1, 1, 3))
-        tg.backward(tg.sum_all(tg.adjust_brightness(x, 2.0)))
+        tg.backward(sum_all(tg.adjust_brightness(x, 2.0)))
         np.testing.assert_array_equal(x.grad.ravel(), [2.0, 2.0, 0.0])
         # contrast 2 about mu = 0.5: pre lands exactly on 0 and 1, so both pixels pass
         x = tg.parameter(np.array([0.25, 0.75]).reshape(1, 1, 1, 2))
-        tg.backward(tg.sum_all(tg.adjust_contrast(x, 2.0, [1.0])))
+        tg.backward(sum_all(tg.adjust_contrast(x, 2.0, [1.0])))
         np.testing.assert_array_equal(x.grad.ravel(), [1.0, 1.0])
         # contrast 3: pre = -0.7 and 1.7, both clamped
         x = tg.parameter(np.array([0.1, 0.9]).reshape(1, 1, 1, 2))
-        tg.backward(tg.sum_all(tg.adjust_contrast(x, 3.0, [1.0])))
+        tg.backward(sum_all(tg.adjust_contrast(x, 3.0, [1.0])))
         np.testing.assert_array_equal(x.grad.ravel(), [0.0, 0.0])
 
     def test_straight_through_passes_gradient(self):
         x = tg.parameter(np.linspace(0.1, 0.9, 12).reshape(1, 3, 2, 2))
         out = tg.straight_through(x, lambda arr: np.round(arr * 4) / 4)
-        tg.backward(tg.sum_all(out))
+        tg.backward(sum_all(out))
         np.testing.assert_array_equal(x.grad, np.ones_like(x.value))
 
     def test_straight_through_shape_change_rejected(self):
@@ -940,7 +941,7 @@ class TestFiniteDiffCheck:
         x = tg.parameter(np.random.default_rng(17).standard_normal(6))
 
         def build():
-            return tg.sum_all(tg.scale(x, 3.0))
+            return sum_all(tg.scale(x, 3.0))
 
         report = tg.finite_diff_check({"x": x}, build, tolerance=1e-8)
         assert report.passed, str(report)
@@ -969,7 +970,7 @@ class TestFiniteDiffCheck:
         def build():
             doubled = tg.scale(x, 1.0)
             doubled._vjp = lambda g: (2.0 * g,)  # deliberately wrong backward
-            return tg.sum_all(doubled)
+            return sum_all(doubled)
 
         report = tg.finite_diff_check({"x": x}, build, tolerance=1e-4)
         assert not report.passed
