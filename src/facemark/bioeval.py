@@ -502,12 +502,23 @@ def forward_embedder(model, images, mode="infer", track_stats=True):
     return features, logits
 
 
+def _train_batch(model, config, images, labels):
+    """One forward/backward/Adam step on one batch; returns its loss."""
+    _, logits = forward_embedder(model, images, mode="train")
+    loss = tg.softmax_cross_entropy(logits, labels)
+    tg.backward(loss)
+    tg.adam_step(model.params, lr=config.lr)
+    model.step += 1
+    return float(loss.value)
+
+
 def train_embedder(images, identities, config=EmbedderTrainConfig()):
     """Train the small conv classifier with softmax cross-entropy.
 
     ``images`` is (M, C, H, W); ``identities`` the per-image labels. The
     returned model embeds through the penultimate affine layer. Also
-    returns the per-epoch mean training loss history.
+    returns the per-epoch mean training loss history. Each batch runs in
+    :func:`_train_batch`, so at most one batch's graph is alive at a time.
     """
     data = np.asarray(images, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] == 0:
@@ -545,12 +556,7 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue  # batch statistics need more than one sample
-            _, logits = forward_embedder(model, data[idx], mode="train")
-            loss = tg.softmax_cross_entropy(logits, y[idx])
-            tg.backward(loss)
-            tg.adam_step(model.params, lr=config.lr)
-            model.step += 1
-            losses.append(float(loss.value))
+            losses.append(_train_batch(model, config, data[idx], y[idx]))
         history.append(float(np.mean(losses)) if losses else float("nan"))
     return model, history
 

@@ -39,7 +39,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--history", default=None, help="write per-step metrics CSV here")
     p.add_argument("--checkpoint-dir", default=None,
-                   help="directory for periodic checkpoints, for extract/sweep/evaluation; "
+                   help="write checkpoint_step<N>.wmf here every checkpoint_interval steps "
+                        "(a config key; 0, the default, writes none), for extract/sweep/evaluation; "
                         "training cannot resume from one (no Adam state is saved)")
     p.add_argument("manifest", help="training image manifest (path,identity CSV)")
     p.add_argument("out_model", help="output model file (WMF1)")
@@ -117,7 +118,7 @@ def _cmd_train_wm(args):
     manifest = pipeline.load_manifest(args.manifest)
     images = pipeline.load_manifest_images(manifest, config.image_channels)
     print(f"training on {len(manifest)} images for {config.steps} steps", file=sys.stderr)
-    model, history = pipeline.train_watermark(config, images)
+    model, history = pipeline.train_watermark(config, images, checkpoint_dir=args.checkpoint_dir)
     wm.save_model(model, args.out_model)
     if args.history:
         pipeline.write_history(history, args.history)

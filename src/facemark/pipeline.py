@@ -368,6 +368,45 @@ def _apply_training_augmentation(node, kind, config, rng):
     return imageops.transform_batch(node, kind, factor, rng)
 
 
+def _train_step(model, config, data, rng):
+    """One forward/backward/Adam step on a fresh batch; returns its history row."""
+    length = model.config.message_length
+    idx = rng.integers(0, data.shape[0], size=config.batch_size)
+    batch = data[idx]
+    msgs = rng.integers(0, 2, size=(config.batch_size, length)).astype(np.float64)
+
+    watermarked = wm.forward_encoder(model, batch, msgs, mode="train")
+    recon = tg.mse_loss(watermarked, tg.leaf(batch))
+
+    decoded_input = watermarked
+    if config.p_aug > 0.0 and config.aug_kinds:
+        if rng.random() < config.p_aug:
+            kind = config.aug_kinds[int(rng.integers(0, len(config.aug_kinds)))]
+            decoded_input = _apply_training_augmentation(watermarked, kind, config, rng)
+    logits = wm.forward_decoder(model, decoded_input, mode="train")
+    decode = tg.bce_logits_loss(logits, msgs)
+    total = tg.add(tg.scale(recon, config.recon_weight), tg.scale(decode, config.decode_weight))
+    if not np.isfinite(total.value):
+        raise RuntimeError(
+            f"training diverged at step {model.step + 1}: "
+            f"recon={float(recon.value)}, decode={float(decode.value)}"
+        )
+    tg.backward(total)
+    tg.adam_step(model.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    model.step += 1
+
+    decisions = (logits.value > 0.0).astype(np.float64)
+    psnr_vals = [imageops.psnr(batch[i], watermarked.value[i]) for i in range(config.batch_size)]
+    return {
+        "step": model.step,
+        "recon_loss": float(recon.value),
+        "decode_loss": float(decode.value),
+        "bit_acc": float(np.mean(decisions == msgs)),
+        "psnr": float(np.mean(psnr_vals)),
+        "total_loss": float(total.value),
+    }
+
+
 def train_watermark(config, images, model=None, checkpoint_dir=None):
     """Joint encoder/decoder training on random messages.
 
@@ -379,7 +418,9 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
     compares the pre-transform watermarked batch with the input batch.
 
     Returns the model and a per-step metrics history (also carrying the
-    total loss for bookkeeping beyond the CSV schema).
+    total loss for bookkeeping beyond the CSV schema). Each step runs in
+    :func:`_train_step`, so at most one step's graph is alive at a time;
+    a checkpoint is saved after its step's graph has been freed.
 
     ``checkpoint_dir`` files are for ``extract``, ``sweep`` and evaluation:
     WMF1 keeps no Adam moments or Adam step count, and the rng restarts
@@ -389,7 +430,7 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
     data = np.asarray(images, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] == 0:
         raise ValueError(f"training images must be a non-empty (M,C,H,W) array, got shape {data.shape}")
-    m, c, h, w_ = data.shape
+    _, c, h, w_ = data.shape
     if c != config.image_channels or h != config.image_size or w_ != config.image_size:
         raise ValueError(
             f"training images are {c}x{h}x{w_}, config expects "
@@ -400,7 +441,6 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
 
     if model is None:
         model = wm.build_model(config.model_config(), seed=config.seed)
-    length = model.config.message_length
     rng = np.random.default_rng(config.seed)
     history = []
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -408,43 +448,7 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     for _ in range(config.steps):
-        idx = rng.integers(0, m, size=config.batch_size)
-        batch = data[idx]
-        msgs = rng.integers(0, 2, size=(config.batch_size, length)).astype(np.float64)
-
-        watermarked = wm.forward_encoder(model, batch, msgs, mode="train")
-        recon = tg.mse_loss(watermarked, tg.leaf(batch))
-
-        decoded_input = watermarked
-        if config.p_aug > 0.0 and config.aug_kinds:
-            if rng.random() < config.p_aug:
-                kind = config.aug_kinds[int(rng.integers(0, len(config.aug_kinds)))]
-                decoded_input = _apply_training_augmentation(watermarked, kind, config, rng)
-        logits = wm.forward_decoder(model, decoded_input, mode="train")
-        decode = tg.bce_logits_loss(logits, msgs)
-        total = tg.add(tg.scale(recon, config.recon_weight), tg.scale(decode, config.decode_weight))
-        if not np.isfinite(total.value):
-            raise RuntimeError(
-                f"training diverged at step {model.step + 1}: "
-                f"recon={float(recon.value)}, decode={float(decode.value)}"
-            )
-        tg.backward(total)
-        tg.adam_step(model.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-        model.step += 1
-
-        decisions = (logits.value > 0.0).astype(np.float64)
-        bit_acc = float(np.mean(decisions == msgs))
-        psnr_vals = [imageops.psnr(batch[i], watermarked.value[i]) for i in range(config.batch_size)]
-        history.append(
-            {
-                "step": model.step,
-                "recon_loss": float(recon.value),
-                "decode_loss": float(decode.value),
-                "bit_acc": bit_acc,
-                "psnr": float(np.mean(psnr_vals)),
-                "total_loss": float(total.value),
-            }
-        )
+        history.append(_train_step(model, config, data, rng))
         if checkpoint_dir is not None and config.checkpoint_interval > 0 and model.step % config.checkpoint_interval == 0:
             wm.save_model(model, checkpoint_dir / f"checkpoint_step{model.step}.wmf")
 

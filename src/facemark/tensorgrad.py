@@ -18,6 +18,10 @@ Conventions
   nodes raises. ``backward`` releases each vjp closure, and the interior
   gradient it consumed, as soon as the closure has run: afterwards only
   leaves hold ``grad``.
+* ``backward`` frees the vjp closures, but every node's ``value`` lives as
+  long as something references the graph. A training loop must therefore
+  drop one step's graph (its loss and every intermediate node it named)
+  before it builds the next, or two steps' activations are alive at once.
 * The conv2d vjp keeps its input node but no padded copy, the relu vjp its
   output but no mask, and the batchnorm2d vjp the normalized input but not
   its input node. A ``conv_bn_relu`` block thus holds only ``xhat`` and its
@@ -31,6 +35,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -418,24 +423,22 @@ def global_avg_pool(x):
     return _result(out, "global_avg_pool", (x,), vjp)
 
 
-def concat_channels(a, b):
-    """Stack two N x C x H x W tensors along the channel axis, ``a`` first."""
-    a, b = _as_node(a), _as_node(b)
-    if a.value.ndim != 4 or b.value.ndim != 4:
+def concat_channels(*parts):
+    """Stack N x C x H x W tensors along the channel axis, in argument order."""
+    parts = tuple(_as_node(p) for p in parts)
+    if any(p.value.ndim != 4 for p in parts):
         raise ValueError("concat_channels: inputs must be 4-D (N,C,H,W)")
-    if a.value.shape[0] != b.value.shape[0] or a.value.shape[2:] != b.value.shape[2:]:
-        raise ValueError(
-            f"concat_channels: batch/spatial shapes differ: {a.value.shape} vs {b.value.shape}"
-        )
-    ca = a.value.shape[1]
-    out = np.concatenate([a.value, b.value], axis=1)
+    first = parts[0].value.shape
+    for p in parts[1:]:
+        if p.value.shape[0] != first[0] or p.value.shape[2:] != first[2:]:
+            raise ValueError(f"concat_channels: batch/spatial shapes differ: {first} vs {p.value.shape}")
+    ends = list(itertools.accumulate(p.value.shape[1] for p in parts))
+    out = np.concatenate([p.value for p in parts], axis=1)
 
     def vjp(g):
-        ga = g[:, :ca] if a.requires_grad else None
-        gb = g[:, ca:] if b.requires_grad else None
-        return ga, gb
+        return tuple(g[:, lo:hi] if p.requires_grad else None for p, lo, hi in zip(parts, [0, *ends], ends))
 
-    return _result(out, "concat_channels", (a, b), vjp)
+    return _result(out, "concat_channels", parts, vjp)
 
 
 def crop_spatial(x, top, left, height, width):

@@ -109,7 +109,8 @@ def _message_planes(messages, n, h, w, length):
         raise ValueError(f"messages must have shape ({n}, {length}), got {msgs.shape}")
     if not np.all((msgs == 0.0) | (msgs == 1.0)):
         raise ValueError("message bits must be exactly 0 or 1")
-    return tg.leaf(np.broadcast_to(msgs[:, :, None, None], (n, length, h, w)).copy())
+    # A read-only broadcast view: every concat that reads it copies the values anyway.
+    return tg.leaf(np.broadcast_to(msgs[:, :, None, None], (n, length, h, w)))
 
 
 def forward_encoder(model, images, messages, mode="train"):
@@ -127,7 +128,7 @@ def forward_encoder(model, images, messages, mode="train"):
     out = tg.concat_channels(x, msg_node)
     for i in range(cfg.encoder_blocks):
         out = _block(model, out, f"enc.block{i}", mode)
-    fused = tg.concat_channels(tg.concat_channels(out, x), msg_node)
+    fused = tg.concat_channels(out, x, msg_node)
     final = tg.conv2d(fused, model.params["enc.out.weight"], model.params["enc.out.bias"], pad=1)
     return tg.sigmoid(final)
 

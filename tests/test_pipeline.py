@@ -1,9 +1,11 @@
-"""Config keys, and training reruns with byte-identical outputs at a fixed BLAS thread count."""
+"""Config keys, training reruns with byte-identical outputs at a fixed BLAS thread count,
+`train-wm` checkpoints, and training memory that stays at one step's graph."""
 
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -151,3 +153,64 @@ def test_augmented_training_per_kind_repeats_recorded_parameters():
 def test_train_config_range_names_its_field(field, value, match):
     with pytest.raises(ValueError, match=re.escape(f"{field} ({value[0]}, {value[1]}) violates") + ".*" + re.escape(match)):
         pipeline.TrainConfig(**{field: value})
+
+
+def test_train_wm_cli_writes_checkpoints_at_the_interval(tmp_path):
+    from _synth import texture_images
+    from facemark import cli, imageops
+
+    lines = []
+    for i, image in enumerate(texture_images(4, 16, seed=6)):
+        imageops.save_ppm(image, tmp_path / f"img{i}.ppm")
+        lines.append(f"img{i}.ppm,id{i}")
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "train.cfg").write_text(
+        "steps=4\nbatch_size=2\nimage_size=16\nmessage_length=8\nbase_channels=8\n"
+        "encoder_blocks=2\ndecoder_blocks=3\ncheckpoint_interval=2\nseed=1\n",
+        encoding="utf-8",
+    )
+    checkpoints = tmp_path / "ckpt"
+    argv = ["train-wm", "--config", str(tmp_path / "train.cfg"), "--checkpoint-dir", str(checkpoints),
+            str(tmp_path / "train.csv"), str(tmp_path / "model.wmf")]
+    assert cli.cli_dispatch(argv) == 0
+    assert sorted(p.name for p in checkpoints.iterdir()) == ["checkpoint_step2.wmf", "checkpoint_step4.wmf"]
+    assert (checkpoints / "checkpoint_step4.wmf").read_bytes() == (tmp_path / "model.wmf").read_bytes()
+
+
+def _traced_peak(fn):
+    """Peak bytes the Python allocators (numpy's included) hold while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_watermark_training_holds_one_step_graph_at_a_time():
+    from _synth import texture_images
+
+    images = texture_images(4, 16, seed=1)
+
+    def train(steps):
+        config = pipeline.TrainConfig(
+            steps=steps, batch_size=4, image_size=16, message_length=8, base_channels=8,
+            encoder_blocks=2, decoder_blocks=3, p_aug=0.0, seed=3,
+        )
+        return lambda: pipeline.train_watermark(config, images)
+
+    one, three = _traced_peak(train(1)), _traced_peak(train(3))
+    assert three <= one * 1.02, (one, three)
+
+
+def test_embedder_training_holds_one_batch_graph_at_a_time():
+    from _synth import identity_images
+
+    images, labels = identity_images(8, 2, size=16, seed=2)
+
+    def train(epochs):  # one batch per epoch: the whole set
+        config = bioeval.EmbedderTrainConfig(embed_dim=4, epochs=epochs, batch_size=16, base_channels=2, seed=2)
+        return lambda: bioeval.train_embedder(images, labels, config)
+
+    one, three = _traced_peak(train(1)), _traced_peak(train(3))
+    assert three <= one * 1.02, (one, three)

@@ -1,5 +1,6 @@
 """Layer-op semantics, gradients against finite differences, Adam, checker."""
 
+import re
 import tracemalloc
 import weakref
 
@@ -682,6 +683,28 @@ class TestPoolConcat:
     def test_concat_spatial_mismatch(self):
         with pytest.raises(ValueError, match="spatial"):
             tg.concat_channels(tg.leaf(np.zeros((1, 1, 3, 3))), tg.leaf(np.zeros((1, 1, 4, 3))))
+
+    def test_concat_three_parts_matches_nested_pairs(self):
+        rng = np.random.default_rng(12)
+        values = [rng.standard_normal((2, c, 3, 4)) for c in (3, 2, 4)]
+        upstream = rng.standard_normal((2, 9, 3, 4))
+
+        def run(concat):
+            parts = [tg.parameter(v) for v in values]
+            out = concat(*parts)
+            tg.backward(tg.mse_loss(out, tg.leaf(upstream)))
+            return out.value, [p.grad for p in parts]
+
+        flat_value, flat_grads = run(tg.concat_channels)
+        nested_value, nested_grads = run(lambda a, b, c: tg.concat_channels(tg.concat_channels(a, b), c))
+        np.testing.assert_array_equal(flat_value, nested_value)
+        for flat, nested in zip(flat_grads, nested_grads):
+            np.testing.assert_array_equal(flat, nested)
+
+    def test_concat_three_parts_names_both_mismatched_shapes(self):
+        parts = [tg.leaf(np.zeros((1, 1, 3, 3))), tg.leaf(np.zeros((1, 2, 3, 3))), tg.leaf(np.zeros((2, 1, 3, 3)))]
+        with pytest.raises(ValueError, match=re.escape("(1, 1, 3, 3) vs (2, 1, 3, 3)")):
+            tg.concat_channels(*parts)
 
 
 class TestLosses:
