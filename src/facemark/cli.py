@@ -9,6 +9,14 @@ are the fields of ``pipeline.TrainConfig``, ``pipeline.VerifyOptions`` and
 ``sweep_kinds`` and one ``<kind>_grid`` per transform (``pipeline._SWEEP_KEYS``).
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Messages go to
 standard error; data goes to files or standard output only.
+
+The ``facemark`` command imports the package before numpy, so BLAS runs on
+one thread whatever ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` say: the package overrides them. Training spreads each
+batch over the usable cores instead, and its output files are byte-identical
+on any core count. A program that imports numpy first and calls
+:func:`cli_dispatch` keeps numpy's BLAS threads, and with them bits that can
+vary with the thread count.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Everything here is seed-deterministic: one PCG64 stream drives batch
 sampling, per-image random messages and augmentation draws during training,
 and per-cell transform seeds in sweeps are derived by hashing stable cell
 coordinates, so reruns with the same configuration produce byte-identical
-output files.
+output files. That holds on any number of usable cores, and at any BLAS
+thread setting once importing :mod:`facemark` before numpy has pinned BLAS
+to one thread (see the package docstring).
 """
 
 from __future__ import annotations

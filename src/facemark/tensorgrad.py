@@ -28,14 +28,25 @@ Conventions
   output beyond its input.
 * ``relu`` uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
-* Results repeat exactly at a fixed BLAS thread count. Changing the thread
-  count can change the last digits, because BLAS splits its sums
-  differently.
+* Parallelism: ``conv2d`` splits a batch into contiguous sample ranges,
+  one per usable core, and runs them on one module-level thread pool. Each
+  sample's GEMM is the same single BLAS call it is serially, and every
+  patch buffer and output array is allocated by the calling thread before
+  the ranges start; workers only write into them. A batch of one sample,
+  or a process with one usable core, runs inline on the calling thread.
+  No GEMM is ever split across threads.
+* Results repeat bit for bit on any number of usable cores, given one BLAS
+  thread: importing :mod:`facemark` before numpy pins BLAS to one thread.
+  At more BLAS threads the last digits can change, because BLAS then
+  splits its sums differently.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -131,17 +142,66 @@ def _result(value, op, parents, vjp):
 # convolution
 # ---------------------------------------------------------------------------
 
-def _sample_patches(x, k, pad, out_h, out_w):
-    """Yield each sample's (C*k*k, out_h*out_w) patch matrix, in sample order.
+_POOL = None  # created by the first multi-range conv2d call
+_POOL_LOCK = threading.Lock()
 
-    Every matrix lives in the same (C, k, k, out_h, out_w) buffer, so a
-    caller must finish with one before asking for the next. The buffer is
-    zeroed once and only each tap's in-bounds window is copied from the
+
+def _forget_pool():
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+# A forked child inherits the pool object but none of its threads; work
+# submitted to it there would never run. The lock may have been held by a
+# thread that does not exist in the child.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _over_samples(n, buf_shape, work):
+    """Run ``work(lo, hi, buf)`` over contiguous ranges that cover samples ``0..n-1``.
+
+    There is one range per usable core, at most one per sample. Each range
+    gets its own zeroed ``buf_shape`` buffer, allocated here on the calling
+    thread. The calling thread runs the first range and the pool the rest;
+    with one range there is no pool and no future.
+    """
+    global _POOL
+    ranges = min(n, _usable_cores())
+    bounds = [n * r // ranges for r in range(ranges + 1)]
+    bufs = [np.zeros(buf_shape) for _ in range(ranges)]
+    if ranges == 1:
+        work(0, n, bufs[0])
+        return
+    with _POOL_LOCK:
+        if _POOL is None:  # threads start only as ranges need them; cpu_count bounds any affinity mask
+            _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tensorgrad")
+    futures = [_POOL.submit(work, bounds[r], bounds[r + 1], bufs[r]) for r in range(1, ranges)]
+    try:
+        work(bounds[0], bounds[1], bufs[0])
+    finally:  # no worker may still be writing when the caller moves on
+        for future in futures:
+            future.result()
+
+
+def _sample_patches(x, lo, hi, buf, pad):
+    """Yield ``(s, cols)``: sample s's (C*k*k, out_h*out_w) patch matrix, for s in ``lo..hi-1``.
+
+    ``buf`` is the caller's zeroed (C, k, k, out_h, out_w) buffer, and every
+    matrix is a view of it, so a caller must finish with one before asking
+    for the next. Only each tap's in-bounds window is copied from the
     unpadded input: the zero border is the same for every sample. A
     negative ``pad`` crops instead of padding.
     """
-    n, c, h, w = x.shape
-    buf = np.zeros((c, k, k, out_h, out_w))
+    _, c, h, w = x.shape
+    _, k, _, out_h, out_w = buf.shape
     taps = []
     for i in range(k):
         y0, y1 = max(0, pad - i), min(out_h, h + pad - i)
@@ -151,20 +211,24 @@ def _sample_patches(x, k, pad, out_h, out_w):
                 src = (slice(y0 + i - pad, y1 + i - pad), slice(x0 + j - pad, x1 + j - pad))
                 taps.append((buf[:, i, j, y0:y1, x0:x1], src))
     cols = buf.reshape(c * k * k, out_h * out_w)
-    for s in range(n):
+    for s in range(lo, hi):
         for dst, (rows, columns) in taps:
             np.copyto(dst, x[s, :, rows, columns])
-        yield cols
+        yield s, cols
 
 
 def _correlate(x, w_mat, k, pad, out_h, out_w):
     """Per-sample patch GEMMs: (N, C, H, W) x (C_out, C*k*k) -> (N, C_out, out_h, out_w)."""
-    n = x.shape[0]
+    n, c = x.shape[:2]
     c_out = w_mat.shape[0]
     out = np.empty((n, c_out, out_h, out_w))
     out_mat = out.reshape(n, c_out, out_h * out_w)
-    for i, cols in enumerate(_sample_patches(x, k, pad, out_h, out_w)):
-        np.matmul(w_mat, cols, out=out_mat[i])
+
+    def work(lo, hi, buf):
+        for s, cols in _sample_patches(x, lo, hi, buf, pad):
+            np.matmul(w_mat, cols, out=out_mat[s])
+
+    _over_samples(n, (c, k, k, out_h, out_w), work)
     return out
 
 
@@ -175,11 +239,14 @@ def conv2d(x, weight, bias, pad=0):
     H + 2*pad - k + 1.
 
     Patches are gathered one sample at a time, straight from the unpadded
-    input, into a buffer that lives for one call; no padded copy of the
+    input, into buffers that live for one call; no padded copy of the
     input is made or kept for the backward pass. The input gradient
     correlates the output gradient, padded (or cropped) by k - 1 - pad,
-    with the flipped kernel; the weight gradient adds the per-sample
-    products in sample order.
+    with the flipped kernel. The weight gradient writes each sample's
+    product into its own row of an (N, C_out, C_in, k, k) array, then adds
+    the rows in sample order from row 0. Forward, input gradient and weight
+    gradient each spread their samples over the usable cores (see the
+    module's parallelism convention), with the same bits as a serial run.
     """
     x, weight, bias = _as_node(x), _as_node(weight), _as_node(bias)
     if x.value.ndim != 4:
@@ -212,13 +279,16 @@ def conv2d(x, weight, bias, pad=0):
             gb = g.sum(axis=(0, 2, 3))
         if weight.requires_grad:
             gf = g.reshape(n, c_out, out_h * out_w)
-            gw = np.empty(weight.value.shape)
-            acc = gw.reshape(c_out, c_in * k * k)
-            for i, cols in enumerate(_sample_patches(x.value, k, pad, out_h, out_w)):
-                if i == 0:
-                    np.matmul(gf[i], cols.T, out=acc)
-                else:
-                    acc += np.matmul(gf[i], cols.T)
+            products = np.empty((n, *weight.value.shape))
+
+            def work(lo, hi, buf):
+                for s, cols in _sample_patches(x.value, lo, hi, buf, pad):
+                    np.matmul(gf[s], cols.T, out=products[s].reshape(c_out, c_in * k * k))
+
+            _over_samples(n, (c_in, k, k, out_h, out_w), work)
+            gw = products[0].copy()
+            for product in products[1:]:
+                gw += product
         if x.requires_grad:
             w_flip = weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             w_flip_mat = np.ascontiguousarray(w_flip.reshape(c_in, c_out * k * k))

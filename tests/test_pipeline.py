@@ -1,5 +1,6 @@
-"""Config keys, training reruns with byte-identical outputs at a fixed BLAS thread count,
-`train-wm` checkpoints, and training memory that stays at one step's graph."""
+"""Config keys, training reruns with byte-identical outputs whatever the BLAS thread
+variables or the usable core count, `train-wm` checkpoints, and training memory that
+stays at one step's graph."""
 
 import os
 import re
@@ -58,6 +59,57 @@ def test_training_repeats_byte_for_byte_at_one_blas_thread(tmp_path):
     assert history_a.count(b"\n") == 3  # header + 2 steps
     assert model_a == model_b
     assert history_a == history_b
+
+
+# `train-wm` through cli_dispatch. At 32 px and 16 channels the conv GEMMs
+# are large enough that OpenBLAS threads them when it may, which changes the
+# bits unless facemark's import pins it to one thread.
+CLI_TRAIN_SCRIPT = """
+import os
+import sys
+from pathlib import Path
+
+if sys.argv[2] == "one-core":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+from facemark import cli, imageops  # before numpy: the import pins BLAS to one thread
+from _synth import texture_images  # noqa: E402
+
+out = Path(sys.argv[1])
+lines = []
+for i, image in enumerate(texture_images(4, 32, seed=6)):
+    imageops.save_ppm(image, out / f"img{i}.ppm")
+    lines.append(f"img{i}.ppm,id{i}")
+(out / "train.csv").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
+(out / "train.cfg").write_text(
+    "steps=2\\nbatch_size=4\\nimage_size=32\\nmessage_length=8\\nbase_channels=16\\n"
+    "encoder_blocks=2\\ndecoder_blocks=3\\nseed=1\\n",
+    encoding="utf-8",
+)
+argv = ["train-wm", "--config", str(out / "train.cfg"), "--history", str(out / "history.csv"),
+        str(out / "train.csv"), str(out / "model.wmf")]
+sys.exit(cli.cli_dispatch(argv))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_train_wm_bytes_ignore_blas_threads_and_core_count(tmp_path):
+    runs = {"blas1": ("1", "all-cores"), "blas2": ("2", "all-cores"), "one-core": (None, "one-core"),
+            "all-cores": (None, "all-cores")}
+    outputs = {}
+    for name, (blas_threads, cores) in runs.items():
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if blas_threads:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        out = tmp_path / name
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", CLI_TRAIN_SCRIPT, str(out), cores], env=env, check=True, timeout=300,
+                       capture_output=True)
+        outputs[name] = ((out / "model.wmf").read_bytes(), (out / "history.csv").read_bytes())
+    assert outputs["blas1"][1].count(b"\n") == 3  # header + 2 steps
+    for name, files in outputs.items():
+        assert files == outputs["blas1"], name
 
 
 def _config_text(value):

@@ -1,8 +1,13 @@
 """Layer-op semantics, gradients against finite differences, Adam, checker."""
 
+import itertools
+import os
 import re
+import signal
+import sys
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,6 +247,105 @@ class TestConv2dMatchesWholeBatchOracle:
         assert all(gr is not None for gr in grads)
         assert held_after_forward < 3 * x.nbytes
         assert peak < patch_matrix_bytes
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A real pool that counts the ranges handed to it."""
+
+    def __init__(self):
+        super().__init__(thread_name_prefix="counting")
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def conv_workers(monkeypatch):
+    """Set the core count conv2d reads; return the pool it then submits to.
+
+    The interpreter switches threads as often as it can meanwhile, so
+    workers interleave far more finely than they would in a real run.
+    """
+    pool = _CountingPool()
+    monkeypatch.setattr(tg, "_POOL", pool)
+
+    def set_workers(count):
+        monkeypatch.setattr(tg, "_usable_cores", lambda: count)
+        return pool
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield set_workers
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+_GRAD_SUBSETS = list(itertools.product((False, True), repeat=3))  # requires_grad of (x, weight, bias)
+
+
+class TestConv2dOverSamples:
+    """Spreading samples over 2 or 3 workers gives the serial run's bits."""
+
+    @staticmethod
+    def _run(x, w, b, g, pad, requires):
+        nodes = [tg.leaf(v, requires_grad=r) for v, r in zip((x, w, b), requires)]
+        out = tg.conv2d(*nodes, pad=pad)
+        grads = out._vjp(g) if out.requires_grad else (None, None, None)
+        return (out.value, *grads)
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_every_worker_count_gives_the_serial_bits(self, conv_workers, n, pad):
+        x, w, b, g = _conv_case(n, 3, 4, 6, pad=pad, seed=20 + n)
+        for requires in _GRAD_SUBSETS:
+            conv_workers(1)
+            serial = self._run(x, w, b, g, pad, requires)
+            for workers in (2, 3):
+                conv_workers(workers)
+                spread = self._run(x, w, b, g, pad, requires)
+                for name, want, got in zip(("out", "gx", "gw", "gb"), serial, spread):
+                    assert (got is None) == (want is None), (name, requires, workers)
+                    assert got is None or np.array_equal(got, want), (name, requires, workers)
+
+    def test_threads_run_the_other_ranges(self, conv_workers):
+        pool = conv_workers(3)
+        x, w, b, g = _conv_case(5, 3, 4, 6, seed=30)
+        _conv_with_grads(x, w, b, g, pad=1)
+        assert pool.submitted == 3 * 2  # forward, weight and input gradients: two ranges each beyond the caller's
+
+    def test_one_sample_never_reaches_the_pool(self, conv_workers):
+        pool = conv_workers(3)
+        x, w, b, g = _conv_case(1, 3, 4, 6, seed=31)
+        _conv_with_grads(x, w, b, g, pad=1)
+        assert pool.submitted == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_trains_without_hanging(self, conv_workers):
+        from _synth import texture_images
+        from facemark import pipeline
+
+        conv_workers(2)
+        images = texture_images(2, 16, seed=4)
+        config = pipeline.TrainConfig(
+            steps=1, batch_size=2, image_size=16, message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+        )
+        pipeline.train_watermark(config, images)
+        assert tg._POOL.submitted > 0
+        pid = os.fork()
+        if pid == 0:  # child: a hung conv2d dies at the alarm
+            code = 1
+            try:
+                signal.alarm(30)
+                pipeline.train_watermark(config, images)
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
 class TestBatchNorm:
