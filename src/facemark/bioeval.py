@@ -456,6 +456,12 @@ class EmbedderTrainConfig:
     base_channels: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        # batch_size >= 2: train_embedder skips one-sample batches, as batch statistics need two.
+        for key, low in (("embed_dim", 1), ("base_channels", 1), ("epochs", 0), ("batch_size", 2)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+
 
 _EMBEDDER_BLOCKS = 3
 

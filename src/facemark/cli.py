@@ -3,10 +3,11 @@
 Subcommands: ``train-wm``, ``train-embedder``, ``embed``, ``extract``,
 ``watermark-dataset``, ``sweep``, ``verify``. All take ``--config <path>``
 (plain-text key=value) where configuration applies, and ``--seed`` overrides
-the config seed. The keys of ``train-wm``, ``verify`` and ``train-embedder``
-are the fields of ``pipeline.TrainConfig``, ``pipeline.VerifyOptions`` and
-``bioeval.EmbedderTrainConfig``; ``sweep`` takes ``seed``, ``repetitions``,
-``sweep_kinds`` and one ``<kind>_grid`` per transform (``pipeline._SWEEP_KEYS``).
+the config seed. The keys of ``train-wm``, ``train-embedder``, ``sweep`` and
+``verify`` are the fields of ``pipeline.TrainConfig``,
+``bioeval.EmbedderTrainConfig``, ``pipeline.SweepSpec`` and
+``pipeline.VerifyOptions``; a bad key or value is a usage error, reported
+before any image is read.
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Messages go to
 standard error; data goes to files or standard output only.
 
@@ -97,13 +98,13 @@ def _build_parser():
     return parser
 
 
-def _read_config(path):
-    if path is None:
-        return {}
-    if not Path(path).is_file():
-        raise UsageError(f"config file not found: {path}")
+def _config(cls, args):
+    """``cls`` built from the ``--config`` file (defaults when there is none) and ``--seed``."""
+    if args.config is not None and not Path(args.config).is_file():
+        raise UsageError(f"config file not found: {args.config}")
     try:
-        return pipeline.read_config(path)
+        mapping = pipeline.read_config(args.config) if args.config is not None else {}
+        return pipeline.parse_config(cls, mapping, seed_override=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -119,10 +120,7 @@ def _message_for_model(args, model):
 
 
 def _cmd_train_wm(args):
-    try:
-        config = pipeline.build_train_config(_read_config(args.config), seed_override=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _config(pipeline.TrainConfig, args)
     manifest = pipeline.load_manifest(args.manifest)
     images = pipeline.load_manifest_images(manifest, config.image_channels)
     print(f"training on {len(manifest)} images for {config.steps} steps", file=sys.stderr)
@@ -141,10 +139,7 @@ def _cmd_train_wm(args):
 
 
 def _cmd_train_embedder(args):
-    try:
-        config = pipeline.build_embedder_train_config(_read_config(args.config), seed_override=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _config(bioeval.EmbedderTrainConfig, args)
     manifest = pipeline.load_manifest(args.manifest)
     images = pipeline.load_manifest_images(manifest, 3)
     identities = [identity for _, identity in manifest.entries]
@@ -190,12 +185,9 @@ def _cmd_watermark_dataset(args):
 
 
 def _cmd_sweep(args):
+    spec = _config(pipeline.SweepSpec, args)
     model = wm.load_model(args.model)
     msg = _message_for_model(args, model)
-    try:
-        spec = pipeline.build_sweep_spec(_read_config(args.config), seed_override=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     manifest = pipeline.load_manifest(args.manifest)
     cells = pipeline.run_sweep(model, manifest, msg, spec)
     for cell in cells:
@@ -206,10 +198,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    try:
-        options = pipeline.build_verify_options(_read_config(args.config), seed_override=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    options = _config(pipeline.VerifyOptions, args)
     if (args.embeddings is None) == (args.embedder is None):
         raise UsageError("provide exactly one of --embeddings or --embedder")
     if args.embeddings is not None:

@@ -1,14 +1,11 @@
 """Watermark message handling: bitmap signatures, bit decisions, bit accuracy.
 
 Messages are 1-D uint8 arrays over {0, 1}; signature bitmaps are 2-D uint8
-arrays whose row-major flattening yields the message. The bundled default
-signature is an 8x6 letter glyph (48 bits), matching the deployment story of
-stamping every image with one fixed mark.
+arrays whose row-major flattening yields the message, so one fixed mark
+can stamp every image.
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 import numpy as np
 
@@ -18,13 +15,9 @@ __all__ = [
     "bit_accuracy",
     "validate_message",
     "load_signature",
-    "save_signature",
-    "default_signature",
     "parse_bits",
     "format_bits",
 ]
-
-_DEFAULT_SIGNATURE_ASSET = "default_signature.txt"
 
 
 def validate_message(msg, length=None):
@@ -71,44 +64,22 @@ def bit_accuracy(a, b):
 def load_signature(path):
     """Read a bitmap from text: first line "H W", then H rows of 0/1 chars."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    return _parse_signature_text(text, str(path))
-
-
-def _parse_signature_text(text, origin):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
-        raise ValueError(f"{origin}: empty signature file")
+        raise ValueError(f"{path}: empty signature file")
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{origin}: first line must be 'H W', got {lines[0]!r}")
+        raise ValueError(f"{path}: first line must be 'H W', got {lines[0]!r}")
     h, w = int(head[0]), int(head[1])
     if len(lines) - 1 != h:
-        raise ValueError(f"{origin}: expected {h} bitmap rows, found {len(lines) - 1}")
+        raise ValueError(f"{path}: expected {h} bitmap rows, found {len(lines) - 1}")
     rows = []
     for i, ln in enumerate(lines[1:]):
         row = ln.strip()
         if len(row) != w or set(row) - {"0", "1"}:
-            raise ValueError(f"{origin}: row {i} must be {w} chars of 0/1, got {row!r}")
+            raise ValueError(f"{path}: row {i} must be {w} chars of 0/1, got {row!r}")
         rows.append([int(c) for c in row])
     return np.array(rows, dtype=np.uint8)
-
-
-def save_signature(bitmap, path):
-    """Write a bitmap in the text format read by :func:`load_signature`."""
-    arr = np.asarray(bitmap)
-    bitmap_to_message(arr)  # validates binary content
-    h, w = arr.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{h} {w}\n")
-        for row in arr:
-            fh.write("".join(str(int(v)) for v in row) + "\n")
-
-
-def default_signature():
-    """The bundled 8x6 letter glyph used as the fixed deployment signature."""
-    text = (resources.files("facemark") / "assets" / _DEFAULT_SIGNATURE_ASSET).read_text("ascii")
-    return _parse_signature_text(text, _DEFAULT_SIGNATURE_ASSET)
 
 
 def parse_bits(text):

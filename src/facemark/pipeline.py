@@ -28,11 +28,9 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "WatermarkDatasetResult",
+    "VerifyOptions",
     "read_config",
-    "build_train_config",
-    "build_sweep_spec",
-    "build_verify_options",
-    "build_embedder_train_config",
+    "parse_config",
     "load_manifest",
     "save_manifest",
     "load_manifest_images",
@@ -43,7 +41,6 @@ __all__ = [
     "write_history",
     "write_sweep_csv",
     "write_reports",
-    "default_sweep_spec",
     "HISTORY_HEADER",
     "SWEEP_HEADER",
 ]
@@ -87,6 +84,7 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
+        self.model_config()  # validates the architecture fields
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if self.recon_weight < 0 or self.decode_weight < 0:
@@ -108,13 +106,7 @@ class TrainConfig:
                 raise ValueError(f"{kind}_range ({lo}, {hi}) violates the transform invariants: {exc}") from exc
 
     def model_config(self):
-        return wm.WatermarkConfig(
-            message_length=self.message_length,
-            base_channels=self.base_channels,
-            encoder_blocks=self.encoder_blocks,
-            decoder_blocks=self.decoder_blocks,
-            image_channels=self.image_channels,
-        )
+        return wm.WatermarkConfig(**{f.name: getattr(self, f.name) for f in fields(wm.WatermarkConfig)})
 
 
 def read_config(path):
@@ -154,84 +146,58 @@ def _convert(key, value, kind):
         raise ValueError(f"config key {key!r}: cannot parse {value!r} ({exc})") from exc
 
 
-def _config_keys(cls):
-    """The config keys of a config dataclass: each field's name and annotation."""
-    return {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+def parse_config(cls, mapping, seed_override=None):
+    """Build the config dataclass ``cls`` from a :func:`read_config` mapping.
 
-
-_TRAIN_KEYS = _config_keys(TrainConfig)
-
-
-def _typed_mapping(mapping, schema, context):
-    unknown = sorted(set(mapping) - set(schema))
+    Each key is one field of ``cls`` and its text parses by that field's
+    annotation; fields left out keep their defaults. ``seed_override``
+    replaces the ``seed`` key. ``cls`` checks its own values when built.
+    """
+    types = get_type_hints(cls)
+    unknown = sorted(set(mapping) - set(types))
     if unknown:
-        raise ValueError(f"{context}: unknown keys {unknown}; allowed: {sorted(schema)}")
-    return {k: _convert(k, v, schema[k]) for k, v in mapping.items()}
-
-
-def build_train_config(mapping, seed_override=None):
-    kwargs = _typed_mapping(mapping, _TRAIN_KEYS, "train config")
+        raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(types)}")
+    kwargs = {key: _convert(key, value, types[key]) for key, value in mapping.items()}
     if seed_override is not None:
         kwargs["seed"] = int(seed_override)
-    return TrainConfig(**kwargs)
-
-
-# Sweep keys name grids per transform kind, not SweepSpec fields.
-_SWEEP_KEYS = {
-    "seed": int,
-    "repetitions": int,
-    "sweep_kinds": tuple[str, ...],
-    **{f"{kind}_grid": tuple[float, ...] for kind in _AUG_KINDS},
-}
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Transform kinds with their factor grids, repetitions and base seed."""
+    """Transform kinds to sweep, one factor grid per kind, repetitions and base seed.
 
-    cells: tuple = ()
+    The defaults are the standard robustness table: every augmentation kind
+    over six factors each, 30 cells.
+    """
+
+    sweep_kinds: tuple[str, ...] = _AUG_KINDS
+    crop_grid: tuple[float, ...] = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75)
+    resize_grid: tuple[float, ...] = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75)
+    brightness_grid: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+    contrast_grid: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+    jpeg_grid: tuple[float, ...] = (100, 95, 90, 85, 80, 75)
     repetitions: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        for kind, grid in self.cells:
-            for factor in grid:
-                imageops.Transform(kind=kind, factor=float(factor))  # validates
+            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        bad = [k for k in self.sweep_kinds if k not in _AUG_KINDS]
+        if bad:
+            raise ValueError(f"sweep_kinds has unknown kinds {bad}; expected a subset of {_AUG_KINDS}")
+        for kind in _AUG_KINDS:
+            for factor in getattr(self, f"{kind}_grid"):
+                try:
+                    imageops.Transform(kind=kind, factor=float(factor))
+                except ValueError as exc:
+                    raise ValueError(f"{kind}_grid: {exc}") from exc
 
-
-_TABLE_GRIDS = {
-    "crop": (1.0, 0.95, 0.9, 0.85, 0.8, 0.75),
-    "resize": (1.0, 0.95, 0.9, 0.85, 0.8, 0.75),
-    "brightness": (1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
-    "contrast": (1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
-    "jpeg": (100, 95, 90, 85, 80, 75),
-}
-
-
-def default_sweep_spec(seed=0, repetitions=1):
-    """The full transformation grid used for the standard robustness table."""
-    return SweepSpec(
-        cells=tuple((kind, _TABLE_GRIDS[kind]) for kind in _AUG_KINDS),
-        repetitions=repetitions,
-        seed=seed,
-    )
-
-
-def build_sweep_spec(mapping, seed_override=None):
-    typed = _typed_mapping(mapping, _SWEEP_KEYS, "sweep config")
-    seed = int(seed_override) if seed_override is not None else typed.get("seed", 0)
-    kinds = typed.get("sweep_kinds", _AUG_KINDS)
-    cells = []
-    for kind in kinds:
-        grid = typed.get(f"{kind}_grid", _TABLE_GRIDS.get(kind))
-        if grid is None:
-            raise ValueError(f"sweep config: no grid for kind {kind!r}")
-        if kind == "jpeg":
-            grid = tuple(int(q) for q in grid)
-        cells.append((kind, tuple(grid)))
-    return SweepSpec(cells=tuple(cells), repetitions=typed.get("repetitions", 1), seed=seed)
+    @property
+    def cells(self):
+        """``(kind, grid)`` per swept kind; JPEG qualities are ints."""
+        grids = ((kind, getattr(self, f"{kind}_grid")) for kind in self.sweep_kinds)
+        return tuple((kind, tuple(int(q) for q in grid) if kind == "jpeg" else grid) for kind, grid in grids)
 
 
 @dataclass(frozen=True)
@@ -264,24 +230,6 @@ class VerifyOptions:
                 raise ValueError(
                     f"verify config: modes has unknown pairing mode {mode!r}; expected one of {bioeval.PAIRING_MODES}"
                 )
-
-
-_VERIFY_KEYS = _config_keys(VerifyOptions)
-_EMBEDDER_KEYS = _config_keys(bioeval.EmbedderTrainConfig)
-
-
-def build_verify_options(mapping, seed_override=None):
-    typed = _typed_mapping(mapping, _VERIFY_KEYS, "verify config")
-    if seed_override is not None:
-        typed["seed"] = int(seed_override)
-    return VerifyOptions(**typed)
-
-
-def build_embedder_train_config(mapping, seed_override=None):
-    typed = _typed_mapping(mapping, _EMBEDDER_KEYS, "embedder config")
-    if seed_override is not None:
-        typed["seed"] = int(seed_override)
-    return bioeval.EmbedderTrainConfig(**typed)
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +502,13 @@ def _derive_seed(base_seed, *coordinates):
     return int.from_bytes(digest, "little") >> 1
 
 
-def run_sweep(model, images_or_manifest, message, spec=None):
+def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
     """Bit accuracy per (transform kind, factor) cell over a fixed message.
 
     Every image is watermarked once; each cell applies its transform (with
     a per-cell derived seed for random crops) and decodes. A failing cell
     is recorded as NaN with its reason rather than aborting the sweep.
     """
-    spec = spec if spec is not None else default_sweep_spec()
     msg = msgcodec.validate_message(message, model.config.message_length)
     if isinstance(images_or_manifest, DatasetManifest):
         images = load_manifest_images(images_or_manifest, model.config.image_channels)
@@ -673,35 +620,16 @@ def run_verification(embeddings, options=VerifyOptions()):
     return reports
 
 
-_REPORT_FIELDS = (
-    ("pairing", "pairing"),
-    ("far_target", "far_target"),
-    ("tau", "tau"),
-    ("achieved_far", "achieved_far"),
-    ("tar", "tar"),
-    ("eer", "eer_value"),
-    ("genuine_mean", "genuine_mean"),
-    ("genuine_std", "genuine_std"),
-    ("genuine_count", "genuine_count"),
-    ("imposter_mean", "imposter_mean"),
-    ("imposter_std", "imposter_std"),
-    ("imposter_count", "imposter_count"),
-    ("t_stat", "t_stat"),
-    ("t_df", "t_df"),
-    ("t_p", "t_p"),
-    ("error", "error"),
-)
-
-
 def write_reports(reports, path):
     """Structured text: one ``key: value`` block per report, blank-line separated."""
     blocks = []
     for report in reports:
         lines = []
-        for key, attr in _REPORT_FIELDS:
-            value = getattr(report, attr)
-            if value is None:
+        for f in fields(report):
+            value = getattr(report, f.name)
+            if value is None or f.name in ("skipped_identities", "imposter_candidates"):  # stderr only
                 continue
+            key = "eer" if f.name == "eer_value" else f.name
             if isinstance(value, float):
                 lines.append(f"{key}: {value!r}")
             else:

@@ -1,5 +1,7 @@
 """Message representation, signatures, bit decisions, accuracy scoring."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,18 +37,24 @@ class TestBitmapConversion:
 
 
 class TestDefaultSignature:
-    def test_is_48_bits(self):
-        bitmap = mc.default_signature()
-        assert bitmap.shape == (8, 6)
-        message = mc.bitmap_to_message(bitmap)
-        assert message.shape == (48,)
-        np.testing.assert_array_equal(message.reshape(8, 6), bitmap)
-
     def test_file_round_trip(self, tmp_path):
-        bitmap = mc.default_signature()
+        bitmap = np.random.default_rng(3).integers(0, 2, size=(8, 6), dtype=np.uint8)
         path = tmp_path / "sig.txt"
-        mc.save_signature(bitmap, path)
+        path.write_text("8 6\n" + "".join("".join(map(str, row)) + "\n" for row in bitmap), encoding="ascii")
         np.testing.assert_array_equal(mc.load_signature(path), bitmap)
+
+    def test_cli_embed_signature_writes_the_flattened_message(self, tmp_path):
+        from _synth import texture_images
+        from facemark import cli, imageops
+
+        model = str(Path(__file__).parent / "data" / "golden_model.wmf")  # 8-bit messages
+        image = tmp_path / "in.ppm"
+        imageops.save_ppm(texture_images(1, seed=4)[0], image)
+        (tmp_path / "sig.txt").write_text("2 4\n0110\n1101\n", encoding="ascii")
+        runs = {"signature": ["--signature", str(tmp_path / "sig.txt")], "message": ["--message", "01101101"]}
+        for name, flags in runs.items():
+            assert cli.cli_dispatch(["embed", "--model", model, *flags, str(image), str(tmp_path / f"{name}.ppm")]) == 0
+        assert (tmp_path / "signature.ppm").read_bytes() == (tmp_path / "message.ppm").read_bytes()
 
     def test_malformed_signature_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

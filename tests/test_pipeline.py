@@ -118,19 +118,52 @@ def _config_text(value):
 
 
 @pytest.mark.parametrize(
-    "cls, build",
-    [
-        (pipeline.TrainConfig, pipeline.build_train_config),
-        (pipeline.VerifyOptions, pipeline.build_verify_options),
-        (bioeval.EmbedderTrainConfig, pipeline.build_embedder_train_config),
-    ],
-    ids=["train", "verify", "embedder"],
+    "cls",
+    [pipeline.TrainConfig, pipeline.VerifyOptions, bioeval.EmbedderTrainConfig, pipeline.SweepSpec],
+    ids=["train", "verify", "embedder", "sweep"],
 )
-def test_every_config_field_is_a_key_that_parses_back_to_its_default(cls, build):
+def test_every_config_field_is_a_key_that_parses_back_to_its_default(cls):
     for field in fields(cls):
-        parsed = build({field.name: _config_text(field.default)})
+        parsed = pipeline.parse_config(cls, {field.name: _config_text(field.default)})
         assert getattr(parsed, field.name) == field.default, field.name
-    assert build({field.name: _config_text(field.default) for field in fields(cls)}) == cls()
+    assert pipeline.parse_config(cls, {field.name: _config_text(field.default) for field in fields(cls)}) == cls()
+
+
+def test_sweep_config_keeps_jpeg_qualities_as_ints():
+    spec = pipeline.parse_config(pipeline.SweepSpec, {"sweep_kinds": "crop,jpeg", "jpeg_grid": "90,80.0"})
+    assert spec.cells == (("crop", (1.0, 0.95, 0.9, 0.85, 0.8, 0.75)), ("jpeg", (90, 80)))
+    assert [type(q) for q in spec.cells[1][1]] == [int, int]
+
+
+# Bad values each command's config must reject with exit 1 before reading any
+# image. The manifest names a missing image, which would exit 2 if the config
+# were parsed after it.
+@pytest.mark.parametrize(
+    "command, line, key",
+    [
+        ("train-wm", "message_length=0", "message_length"),
+        ("train-wm", "base_channels=0", "base_channels"),
+        ("train-wm", "image_channels=2", "image_channels"),
+        ("train-embedder", "batch_size=0", "batch_size"),
+        ("train-embedder", "batch_size=1", "batch_size"),
+        ("train-embedder", "base_channels=0", "base_channels"),
+        ("sweep", "jpeg_grid=50.5", "jpeg_grid"),
+        ("sweep", "jpeg_grid=inf", "jpeg_grid"),
+    ],
+)
+def test_cli_config_values_rejected_before_images_are_read(tmp_path, capsys, command, line, key):
+    from facemark import cli
+
+    (tmp_path / "data.csv").write_text("missing.ppm,id0\n", encoding="utf-8")
+    (tmp_path / "run.cfg").write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    extra = ["--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110"] if command == "sweep" else []
+    argv = [command, "--config", str(tmp_path / "run.cfg"), *extra, str(tmp_path / "data.csv"), str(out)]
+    assert cli.cli_dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # Two training steps per augmentation kind, each step's decoder input going
