@@ -3,7 +3,9 @@
 Modules by concern:
 
 * :mod:`facemark.tensorgrad` — dense tensors with reverse-mode autodiff,
-  the network layers, Adam, and finite-difference gradient checking;
+  the network layers and Adam;
+* :mod:`facemark.containers` — the tensor container and the one model
+  record that the WMF1 and EMB1 files save and load;
 * :mod:`facemark.msgcodec` — watermark messages and bitmap signatures;
 * :mod:`facemark.imageops` — PPM/PGM I/O and the transformation suite
   (crop, resize, brightness, contrast, JPEG quantization round trip);

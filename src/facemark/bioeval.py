@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import containers
 from . import tensorgrad as tg
-from .containers import build_config, load_state, read_container, save_state
 
 __all__ = [
     "Embedding",
@@ -26,7 +26,6 @@ __all__ = [
     "VerificationReport",
     "EmbedderConfig",
     "EmbedderTrainConfig",
-    "EmbedderModel",
     "PAIRING_MODES",
     "cosine_similarity",
     "pair_scores",
@@ -428,13 +427,14 @@ def welch_t_test(a, b):
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    """Architecture of the small softmax-trained classifier."""
+    """Architecture of the small softmax-trained classifier, and the identity label of each class."""
 
     embed_dim: int
     num_classes: int
     base_channels: int = 16
     image_channels: int = 3
     image_size: int = 32
+    class_labels: tuple[str, ...] | None = None  # required: num_classes distinct non-empty strings
 
     def __post_init__(self):
         if self.embed_dim < 1 or self.num_classes < 2:
@@ -443,6 +443,11 @@ class EmbedderConfig:
             raise ValueError("base_channels must be >= 1 and image_size >= 8")
         if self.image_channels not in (1, 3):
             raise ValueError(f"image_channels must be 1 or 3, got {self.image_channels}")
+        labels = self.class_labels
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(v, str) and v for v in labels)
+                and len(set(labels)) == len(labels) == self.num_classes):
+            raise ValueError(f"class_labels must be {self.num_classes} distinct non-empty strings")
+        object.__setattr__(self, "class_labels", tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -461,17 +466,11 @@ class EmbedderTrainConfig:
         for key, low in (("embed_dim", 1), ("base_channels", 1), ("epochs", 0), ("batch_size", 2)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must lie in (0, inf), got {self.lr}")
 
 
 _EMBEDDER_BLOCKS = 3
-
-
-@dataclass
-class EmbedderModel:
-    config: EmbedderConfig
-    params: tg.ParamSet
-    class_labels: list[str]
-    step: int = 0
 
 
 def _embedder_layout(cfg):
@@ -483,10 +482,10 @@ def _embedder_layout(cfg):
     ]
 
 
-def _build_embedder(cfg, class_labels, seed=None):
+def _build_embedder(cfg, seed=None):
     """He-initialized from ``seed``; with no seed every parameter is zero."""
-    params = tg.init_params(_embedder_layout(cfg), None if seed is None else np.random.default_rng(seed))
-    return EmbedderModel(cfg, params, list(class_labels))
+    rng = None if seed is None else np.random.default_rng(seed)
+    return containers.Model(cfg, tg.init_params(_embedder_layout(cfg), rng))
 
 
 def forward_embedder(model, images, mode="infer", track_stats=True):
@@ -498,10 +497,9 @@ def forward_embedder(model, images, mode="infer", track_stats=True):
     x = images if isinstance(images, tg.Node) else tg.leaf(np.asarray(images, dtype=np.float64))
     if x.value.shape[1] != cfg.image_channels:
         raise ValueError(f"embedder expects {cfg.image_channels}-channel images, got {x.value.shape[1]}")
-    stats = model.params.stats if track_stats else dict.fromkeys(model.params.stats)
     out = x
     for i in range(_EMBEDDER_BLOCKS):
-        out = tg.conv_bn_relu(out, *model.params.conv_bn(f"emb.block{i}"), mode, stats[f"emb.block{i}.bn"])
+        out = model.params.block(out, f"emb.block{i}", mode, track_stats)
     pooled = tg.global_avg_pool(out)
     features = tg.affine(pooled, model.params["emb.fc_embed.weight"], model.params["emb.fc_embed.bias"])
     logits = tg.affine(features, model.params["emb.fc_class.weight"], model.params["emb.fc_class.bias"])
@@ -518,14 +516,8 @@ def _train_batch(model, config, images, labels):
     return float(loss.value)
 
 
-def train_embedder(images, identities, config=EmbedderTrainConfig()):
-    """Train the small conv classifier with softmax cross-entropy.
-
-    ``images`` is (M, C, H, W); ``identities`` the per-image labels. The
-    returned model embeds through the penultimate affine layer. Also
-    returns the per-epoch mean training loss history. Each batch runs in
-    :func:`_train_batch`, so at most one batch's graph is alive at a time.
-    """
+def _labelled_images(images, identities):
+    """``images`` as a float64 (M,C,H,W) stack with M >= 1, and one non-empty string label per image."""
     data = np.asarray(images, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] == 0:
         raise ValueError(f"images must be a non-empty (M,C,H,W) array, got shape {data.shape}")
@@ -534,6 +526,18 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
         raise ValueError(f"{data.shape[0]} images but {len(labels)} identity labels")
     if not all(labels):
         raise ValueError("every image needs a non-empty identity label")  # the EMB1 reader requires one
+    return data, labels
+
+
+def train_embedder(images, identities, config=EmbedderTrainConfig()):
+    """Train the small conv classifier with softmax cross-entropy.
+
+    ``images`` is (M, C, H, W); ``identities`` the per-image labels. The
+    returned model embeds through the penultimate affine layer. Also
+    returns the per-epoch mean training loss history. Each batch runs in
+    :func:`_train_batch`, so at most one batch's graph is alive at a time.
+    """
+    data, labels = _labelled_images(images, identities)
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ValueError(f"training requires at least 2 identities, got {len(classes)}")
@@ -544,14 +548,9 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
 
     index = {c: k for k, c in enumerate(classes)}
     y = np.array([index[v] for v in labels], dtype=np.int64)
-    cfg = EmbedderConfig(
-        embed_dim=config.embed_dim,
-        num_classes=len(classes),
-        base_channels=config.base_channels,
-        image_channels=data.shape[1],
-        image_size=data.shape[2],
-    )
-    model = _build_embedder(cfg, classes, seed=config.seed)
+    cfg = EmbedderConfig(embed_dim=config.embed_dim, num_classes=len(classes), base_channels=config.base_channels,
+                         image_channels=data.shape[1], image_size=data.shape[2], class_labels=tuple(classes))
+    model = _build_embedder(cfg, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     m = data.shape[0]
     history = []
@@ -574,14 +573,7 @@ def embed_images(model, images, identities, source="original"):
     are bilinearly resized first. Embeddings come from initialization when
     the model is untrained, deterministically per seed.
     """
-    data = np.asarray(images, dtype=np.float64)
-    if data.ndim != 4:
-        raise ValueError(f"images must be (M,C,H,W), got shape {data.shape}")
-    labels = [str(v) for v in identities]
-    if len(labels) != data.shape[0]:
-        raise ValueError(f"{data.shape[0]} images but {len(labels)} identity labels")
-    if any(not v for v in labels):
-        raise ValueError("every image needs a non-empty identity label")
+    data, labels = _labelled_images(images, identities)
     size = model.config.image_size
     if data.shape[2] != size or data.shape[3] != size:
         data = tg.bilinear_resize(data, size, size)
@@ -634,19 +626,9 @@ def load_embeddings(path):
 
 def save_embedder(model, path):
     """Persist the embedder in the EMB1 container."""
-    config = {**asdict(model.config), "class_labels": model.class_labels}
-    save_state(path, EMBEDDER_MAGIC, config, model.step, model.params)
+    containers.save_model(path, EMBEDDER_MAGIC, model)
 
 
 def load_embedder(path):
     """Inverse of :func:`save_embedder`."""
-    config_dict, step, tensors = read_container(path, EMBEDDER_MAGIC)
-    labels = config_dict.pop("class_labels", None)
-    cfg = build_config(path, EmbedderConfig, config_dict)
-    if not (isinstance(labels, list) and all(isinstance(v, str) and v for v in labels)
-            and len(set(labels)) == len(labels) == cfg.num_classes):
-        raise ValueError(f"{path}: bad config block: class_labels must be {cfg.num_classes} distinct non-empty strings")
-    model = _build_embedder(cfg, labels, seed=None)
-    model.step = step
-    load_state(path, tensors, model.params)
-    return model
+    return containers.load_model(path, EMBEDDER_MAGIC, EmbedderConfig, _build_embedder)

@@ -11,11 +11,13 @@ Layout (little-endian throughout):
 Weights are persisted at 32-bit precision and widened to float64 on load;
 a NaN or Inf payload value is rejected.
 
-Both model formats hold a state dict, which is one ``tensorgrad.ParamSet``
-(:func:`save_state`, :func:`load_state`): its parameters in order, then the
-running statistics of each populated batchnorm slot in ``ParamSet.stats``.
-A Conv-BN-ReLU block ``<block>`` has ``<block>.conv.weight/bias``,
-``<block>.bn.gamma/beta`` and ``<block>.bn.running_mean/var``.
+Both model formats hold one :class:`Model` (:func:`save_model`,
+:func:`load_model`): its config dataclass as the header's config block, its
+step counter, and its ``tensorgrad.ParamSet`` as the tensors: the
+parameters in order, then the running statistics of each populated
+batchnorm slot in ``ParamSet.stats``. A Conv-BN-ReLU block ``<block>`` has
+``<block>.conv.weight/bias``, ``<block>.bn.gamma/beta`` and
+``<block>.bn.running_mean/var``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,21 @@ from __future__ import annotations
 import json
 import math
 import struct
-from typing import get_type_hints
+from dataclasses import asdict, dataclass
+from typing import Any, get_type_hints
 
 import numpy as np
 
-__all__ = ["write_container", "read_container", "build_config", "save_state", "load_state"]
+__all__ = ["Model", "write_container", "read_container", "build_config", "save_model", "load_model"]
+
+
+@dataclass
+class Model:
+    """One network: its config dataclass, its ``tensorgrad.ParamSet`` and its training step counter."""
+
+    config: Any
+    params: Any
+    step: int = 0
 
 
 def write_container(path, magic, config, step, tensors):
@@ -97,7 +109,7 @@ def read_container(path, magic):
 def build_config(path, cls, config):
     """``cls(**config)`` for a header's config block, whose int fields must be JSON integers.
 
-    A missing, unknown or mistyped field raises ValueError ("bad config block").
+    A missing, unknown, mistyped or out-of-range field raises ValueError ("bad config block").
     """
     hints = get_type_hints(cls)
     mistyped = sorted(k for k, v in config.items() if hints.get(k) is int and type(v) is not int)
@@ -105,7 +117,7 @@ def build_config(path, cls, config):
         raise ValueError(f"{path}: bad config block: fields {mistyped} must be JSON integers")
     try:
         return cls(**config)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config block: {exc}") from exc
 
 
@@ -119,21 +131,26 @@ def _manifest_entry(path, entry):
     return name, dims
 
 
-def save_state(path, magic, config, step, params):
-    """Write the ``ParamSet`` ``params``: its parameters, then each populated slot of ``params.stats``."""
+def save_model(path, magic, model):
+    """Write ``model``: its config and step, its parameters, then each populated slot of ``params.stats``."""
+    params = model.params
     tensors = [(name, node.value) for name, node in params.items()]
     for slot, running in params.stats.items():
         if running.populated:
             tensors += [(f"{slot}.running_mean", running.mean), (f"{slot}.running_var", running.var)]
-    write_container(path, magic, config, step, tensors)
+    write_container(path, magic, asdict(model.config), model.step, tensors)
 
 
-def load_state(path, tensors, params):
-    """Fill the ``ParamSet`` ``params`` and its ``stats`` from ``read_container``'s tensors.
+def load_model(path, magic, config_cls, new_model):
+    """Inverse of :func:`save_model`: ``new_model(config)`` is filled from the file.
 
-    Any missing, misshapen, unexpected or half-present tensor raises ValueError.
+    ``new_model`` builds the :class:`Model` for a ``config_cls`` config. Any
+    missing, misshapen, unexpected or half-present tensor raises ValueError.
     """
-    nodes, stats = dict(params.items()), params.stats
+    config, step, tensors = read_container(path, magic)
+    model = new_model(build_config(path, config_cls, config))
+    model.step = step
+    nodes, stats = dict(model.params.items()), model.params.stats
     for name, node in nodes.items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
@@ -153,3 +170,4 @@ def load_state(path, tensors, params):
             raise ValueError(f"{path}: running statistics for {slot!r} have wrong shape")
         if (running.mean is None) != (running.var is None):
             raise ValueError(f"{path}: running statistics for {slot!r} are incomplete")
+    return model

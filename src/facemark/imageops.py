@@ -30,6 +30,7 @@ __all__ = [
     "save_pgm",
     "load_image",
     "save_image",
+    "to_8bit",
     "crop_window",
     "jpeg_roundtrip",
     "transform_batch",
@@ -128,12 +129,17 @@ def _load_pnm(path, magic, channels):
     return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
+def to_8bit(img):
+    """The 8-bit sample levels of a [0, 1] image, as floats: round to nearest, ties up, clamp to 0..255."""
+    return np.floor(img * 255.0 + 0.5).clip(0, 255)
+
+
 def _save_pnm(img, path, magic, channels, name):
     """Write a C x H x W image as binary PNM; rounds to nearest, ties up."""
     arr = require_image(img)
     if arr.shape[0] != channels:
         raise ValueError(f"{name}: expected {channels} channel(s), got {arr.shape[0]}")
-    raw = np.floor(arr * 255.0 + 0.5).clip(0, 255).astype(np.uint8)
+    raw = to_8bit(arr).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(magic + f"\n{arr.shape[2]} {arr.shape[1]}\n255\n".encode("ascii"))
         fh.write(raw.transpose(1, 2, 0).tobytes())
@@ -267,7 +273,7 @@ def jpeg_roundtrip(img, quality):
     arr = require_image(img, min_side=8)
     luma_t, chroma_t = quant_tables(quality)
 
-    x = np.floor(arr * 255.0 + 0.5).clip(0, 255)
+    x = to_8bit(arr)
     if arr.shape[0] == 3:
         r, g, b = x[0], x[1], x[2]
         y = 0.299 * r + 0.587 * g + 0.114 * b

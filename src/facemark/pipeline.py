@@ -12,6 +12,7 @@ to one thread (see the package docstring).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -87,6 +88,17 @@ class TrainConfig:
         self.model_config()  # validates the architecture fields
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
+        # image_size before the crop and resize ranges, which also bound the decoder's input side
+        for key, low in (("image_size", wm.MIN_DECODE_SIDE), ("checkpoint_interval", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must lie in (0, inf), got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, key) < 1.0):
+                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError(f"eps must lie in (0, inf), got {self.eps}")
         if self.recon_weight < 0 or self.decode_weight < 0:
             raise ValueError("loss weights must be >= 0")
         if not (0.0 <= self.p_aug <= 1.0):
@@ -251,7 +263,7 @@ class DatasetManifest:
         return [self.root / rel for rel, _ in self.entries]
 
 
-def load_manifest(path, require_exists=True):
+def load_manifest(path):
     """Read a ``path,identity`` CSV; '#' comments allowed.
 
     A ``# source_tag: <tag>`` comment marks every entry's source; paths are
@@ -277,10 +289,9 @@ def load_manifest(path, require_exists=True):
     if not entries:
         raise ValueError(f"{path}: manifest lists no images")
     manifest = DatasetManifest(entries=entries, root=path.parent, source_tag=source_tag)
-    if require_exists:
-        missing = [str(p) for p in manifest.absolute_paths() if not p.exists()]
-        if missing:
-            raise FileNotFoundError(f"{path}: missing image files: {', '.join(missing[:5])}")
+    missing = [str(p) for p in manifest.absolute_paths() if not p.exists()]
+    if missing:
+        raise FileNotFoundError(f"{path}: missing image files: {', '.join(missing[:5])}")
     return manifest
 
 
@@ -457,8 +468,7 @@ def watermark_dataset(model, manifest, message, out_dir):
         dest = out_dir / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
         imageops.save_image(marked, dest)
-        quantized = np.floor(marked * 255.0 + 0.5).clip(0, 255) / 255.0
-        psnrs.append(imageops.psnr(image, quantized))
+        psnrs.append(imageops.psnr(image, imageops.to_8bit(marked) / 255.0))
         written_entries.append((rel, identity))
 
     total = len(manifest.entries)

@@ -5,14 +5,13 @@ encoder/decoder and the toy embedder are built from (convolution, batch
 normalization, relu, affine, pooling, channel concatenation, the two losses),
 the transforms that training augmentation and robustness sweeps both run
 through ``imageops.transform_batch`` (spatial crop, bilinear resize,
-photometric stretch, straight-through), and an Adam optimizer with a
-finite-difference gradient checker.
+photometric stretch, straight-through), and an Adam optimizer.
 
 Conventions
 -----------
 * Values are float64 ``numpy`` arrays in C (row-major) order. Training runs
-  in 64-bit so that finite-difference checks are tight; persistence at
-  32-bit is handled by the callers that own file formats.
+  in 64-bit so that the tests' finite-difference checks are tight;
+  persistence at 32-bit is handled by the callers that own file formats.
 * A computation graph is built fresh for every training step. ``backward``
   may be called once per graph; a second call through any of its non-leaf
   nodes raises. ``backward`` releases each vjp closure, and the interior
@@ -22,11 +21,11 @@ Conventions
   long as something references the graph. A training loop must therefore
   drop one step's graph (its loss and every intermediate node it named)
   before it builds the next, or two steps' activations are alive at once.
-* The conv2d vjp keeps its input node but no padded copy, the relu vjp its
-  output but no mask, and the batchnorm2d vjp the normalized input but not
-  its input node. A ``conv_bn_relu`` block thus holds only ``xhat`` and its
-  output beyond its input.
-* ``relu`` uses subgradient 0 at exactly 0. The clamp in the photometric
+* The conv2d vjp keeps its input node but no padded copy, and the
+  batchnorm2d vjp the normalized input but not its input node. A
+  ``conv_bn_relu`` block's ReLU keeps its output but no mask, so the block
+  holds only ``xhat`` and its output beyond its input.
+* The ReLU uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
 * Parallelism: ``conv2d`` splits a batch into contiguous sample ranges,
   one per usable core, and runs them on one module-level thread pool. Each
@@ -47,8 +46,8 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -56,12 +55,10 @@ __all__ = [
     "Node",
     "ParamSet",
     "RunningStats",
-    "FiniteDiffReport",
     "leaf",
     "parameter",
     "conv2d",
     "batchnorm2d",
-    "relu",
     "conv_bn_relu",
     "conv_bn_layout",
     "conv_bn_stack_layout",
@@ -82,7 +79,6 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "adam_step",
-    "finite_diff_check",
     "bilinear_resize",
 ]
 
@@ -403,25 +399,14 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def relu(x):
-    """Elementwise max(0, x); subgradient at 0 is 0."""
-    x = _as_node(x)
-    out = np.maximum(x.value, 0.0)
-
-    def vjp(g):
-        # out > 0 exactly where x > 0 (NaN included), so no mask is kept.
-        return (g * (out > 0.0),)
-
-    return _result(out, "relu", (x,), vjp)
-
-
 def conv_bn_relu(x, weight, bias, gamma, beta, mode="train", running=None):
     """The Conv-BN-ReLU block all three networks stack: pad-1 conv2d, batchnorm2d, relu.
 
     One graph node with parents (x, weight, bias, gamma, beta), bit-identical
-    to ``relu(batchnorm2d(conv2d(...)))``. It calls the two ops through this
-    module's names and keeps only their vjps, so neither the conv output nor
-    the pre-ReLU output outlives the forward pass; the ReLU runs in place.
+    to an unfused ``max(0, batchnorm2d(conv2d(...)))`` with subgradient 0 at
+    0. It calls the two ops through this module's names and keeps only their
+    vjps, so neither the conv output nor the pre-ReLU output outlives the
+    forward pass; the ReLU runs in place.
     """
     x, weight, bias, gamma, beta = (_as_node(p) for p in (x, weight, bias, gamma, beta))
     h = conv2d(x, weight, bias, pad=1)
@@ -848,16 +833,20 @@ class ParamSet:
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())
 
-    def conv_bn(self, prefix):
-        """The conv weight, conv bias, bn gamma and bn beta nodes of the block ``prefix``."""
-        return tuple(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS)
+    def block(self, x, prefix, mode, track_stats=True):
+        """Run the :func:`conv_bn_relu` block ``prefix`` on ``x``.
+
+        ``track_stats=False`` leaves the block's running statistics out, so only ``train`` mode can run.
+        """
+        running = self.stats[f"{prefix}.bn"] if track_stats else None
+        return conv_bn_relu(x, *(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS), mode, running)
 
 
 _CONV_BN_PARTS = ("conv.weight", "conv.bias", "bn.gamma", "bn.beta")
 
 
 def conv_bn_layout(prefix, c_in, c_out):
-    """The (name, shape) pairs of one :func:`conv_bn_relu` block, in :meth:`ParamSet.conv_bn` order."""
+    """The (name, shape) pairs of one :func:`conv_bn_relu` block, in :func:`conv_bn_relu` argument order."""
     shapes = ((c_out, c_in, 3, 3), (c_out,), (c_out,), (c_out,))
     return [(f"{prefix}.{part}", shape) for part, shape in zip(_CONV_BN_PARTS, shapes)]
 
@@ -905,86 +894,3 @@ def adam_step(params: ParamSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         node.value -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + eps)
         node.grad = None
     params.step_count = t
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FiniteDiffReport:
-    """Max relative gradient error per parameter tensor."""
-
-    tolerance: float
-    max_rel_error: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def failures(self):
-        return sorted(n for n, e in self.max_rel_error.items() if not e <= self.tolerance)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def __str__(self):
-        lines = [
-            f"{name}: max_rel_err={err:.3e} {'ok' if err <= self.tolerance else 'FAIL'}"
-            for name, err in sorted(self.max_rel_error.items())
-        ]
-        return "\n".join(lines)
-
-
-def finite_diff_check(
-    params: Mapping[str, Node],
-    build_loss: Callable[[], Node],
-    tolerance=1e-4,
-    step=1e-5,
-    max_entries=64,
-    seed=0,
-):
-    """Compare analytic gradients against central finite differences.
-
-    ``build_loss`` must rebuild the scalar loss graph from the *same* leaf
-    nodes in ``params`` deterministically; entries of large tensors are
-    subsampled (seeded) down to ``max_entries``. Relative error uses
-    max(|analytic|, |numeric|, 1e-4) in the denominator so that near-zero
-    gradients are judged on an absolute scale.
-    """
-    loss = build_loss()
-    if loss.value.size != 1 or not np.all(np.isfinite(loss.value)):
-        raise ValueError("finite_diff_check: builder must produce a finite scalar loss")
-    for node in params.values():
-        node.grad = None
-    backward(loss)
-    analytic = {
-        name: (node.grad.copy() if node.grad is not None else np.zeros_like(node.value))
-        for name, node in params.items()
-    }
-    for node in params.values():
-        node.grad = None
-
-    rng = np.random.default_rng(seed)
-    report = FiniteDiffReport(tolerance=tolerance)
-    for name, node in params.items():
-        flat = node.value.reshape(-1)
-        size = flat.size
-        if size <= max_entries:
-            idx = np.arange(size)
-        else:
-            idx = rng.choice(size, size=max_entries, replace=False)
-        worst = 0.0
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = float(build_loss().value)
-            flat[i] = orig - step
-            lm = float(build_loss().value)
-            flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise ValueError(f"finite_diff_check: non-finite loss while perturbing {name!r}")
-            numeric = (lp - lm) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), 1e-4)
-            worst = max(worst, abs(a - numeric) / denom)
-        report.max_rel_error[name] = worst
-    return report

@@ -10,24 +10,23 @@ The decoder is a deeper Conv-BN-ReLU stack ending in a block with one
 channel per message bit, a global average pool (which makes it agnostic to
 input size) and a square linear head producing one logit per bit.
 
-One ``tg.ParamSet`` holds both networks' parameters, encoder first, and their
-batchnorm running statistics. Training normalizes by batch statistics and
-updates the running ones; :func:`encode` and :func:`decode_logits` read them.
+A model is one ``containers.Model``, whose ``tg.ParamSet`` holds both
+networks' parameters, encoder first, and their batchnorm running
+statistics. Training normalizes by batch statistics and updates the running
+ones; :func:`encode` and :func:`decode_logits` read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import msgcodec
+from . import containers, msgcodec
 from . import tensorgrad as tg
-from .containers import build_config, load_state, read_container, save_state
 
 __all__ = [
     "WatermarkConfig",
-    "WatermarkModel",
     "build_model",
     "forward_encoder",
     "forward_decoder",
@@ -63,13 +62,6 @@ class WatermarkConfig:
             raise ValueError(f"image_channels must be 1 or 3, got {self.image_channels}")
 
 
-@dataclass
-class WatermarkModel:
-    config: WatermarkConfig
-    params: tg.ParamSet  # the encoder's ``enc.*`` parameters, then the decoder's ``dec.*``
-    step: int = 0
-
-
 def _encoder_layout(cfg):
     """Ordered (name, shape) pairs for every encoder parameter."""
     c_msg = cfg.image_channels + cfg.message_length
@@ -91,16 +83,12 @@ def _decoder_layout(cfg):
 
 def _new_model(cfg, rng=None):
     # Encoder first, then decoder, from one rng: this order fixes what a seed builds.
-    return WatermarkModel(cfg, tg.init_params(_encoder_layout(cfg) + _decoder_layout(cfg), rng))
+    return containers.Model(cfg, tg.init_params(_encoder_layout(cfg) + _decoder_layout(cfg), rng))
 
 
 def build_model(config, seed=0):
     """He-initialized encoder/decoder pair; the same seed reproduces it."""
     return _new_model(config, np.random.default_rng(seed))
-
-
-def _block(model, x, prefix, mode):
-    return tg.conv_bn_relu(x, *model.params.conv_bn(prefix), mode, model.params.stats[f"{prefix}.bn"])
 
 
 def _message_planes(messages, n, h, w, length):
@@ -127,7 +115,7 @@ def forward_encoder(model, images, messages, mode="train"):
     msg_node = _message_planes(messages, n, h, w, cfg.message_length)
     out = tg.concat_channels(x, msg_node)
     for i in range(cfg.encoder_blocks):
-        out = _block(model, out, f"enc.block{i}", mode)
+        out = model.params.block(out, f"enc.block{i}", mode)
     fused = tg.concat_channels(out, x, msg_node)
     final = tg.conv2d(fused, model.params["enc.out.weight"], model.params["enc.out.bias"], pad=1)
     return tg.sigmoid(final)
@@ -144,8 +132,8 @@ def forward_decoder(model, images, mode="train"):
         raise ValueError(f"decoder needs at least {MIN_DECODE_SIDE}x{MIN_DECODE_SIDE} pixels, got {h}x{w}")
     out = x
     for i in range(cfg.decoder_blocks):
-        out = _block(model, out, f"dec.block{i}", mode)
-    pooled = tg.global_avg_pool(_block(model, out, "dec.bits", mode))
+        out = model.params.block(out, f"dec.block{i}", mode)
+    pooled = tg.global_avg_pool(model.params.block(out, "dec.bits", mode))
     return tg.affine(pooled, model.params["dec.fc.weight"], model.params["dec.fc.bias"])
 
 
@@ -173,13 +161,9 @@ def extract(model, image):
 
 def save_model(model, path):
     """Persist parameters, running statistics, config and step counter."""
-    save_state(path, MODEL_MAGIC, asdict(model.config), model.step, model.params)
+    containers.save_model(path, MODEL_MAGIC, model)
 
 
 def load_model(path):
     """Inverse of :func:`save_model`; validates names and shapes field by field."""
-    config_dict, step, tensors = read_container(path, MODEL_MAGIC)
-    model = _new_model(build_config(path, WatermarkConfig, config_dict))
-    model.step = step
-    load_state(path, tensors, model.params)
-    return model
+    return containers.load_model(path, MODEL_MAGIC, WatermarkConfig, _new_model)

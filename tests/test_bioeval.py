@@ -819,9 +819,9 @@ class TestVerifyOptions:
 # ---------------------------------------------------------------------------
 
 def write_embedder_with(path, extra, edit_config=lambda c: c):
-    cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8)
-    model = be._build_embedder(cfg, ["a", "b"], seed=1)
-    config = {**asdict(cfg), "class_labels": ["a", "b"]}
+    cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8, class_labels=("a", "b"))
+    model = be._build_embedder(cfg, seed=1)
+    config = asdict(cfg)
     tensors = [(name, node.value) for name, node in model.params.items()] + extra
     write_container(path, be.EMBEDDER_MAGIC, edit_config(config), 0, tensors)
 
@@ -873,7 +873,7 @@ class TestLoadEmbedder:
     def test_class_labels_kept_in_order(self, tmp_path):
         path = tmp_path / "m.emb"
         write_embedder_with(path, [], lambda c: {**c, "class_labels": ["z", "a"]})
-        assert be.load_embedder(path).class_labels == ["z", "a"]
+        assert be.load_embedder(path).config.class_labels == ("z", "a")
 
     def test_cli_bad_class_labels_exits_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "m.emb"
@@ -918,8 +918,8 @@ class TestEmbedImages:
         return rng.random((count, 3, size, size)), [f"id{i % 2}" for i in range(count)]
 
     def untrained(self):
-        cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=16)
-        return be._build_embedder(cfg, ["a", "b"], seed=3)
+        cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=16, class_labels=("a", "b"))
+        return be._build_embedder(cfg, seed=3)
 
     def test_populated_embedder_runs_in_infer_mode(self):
         model = be.load_embedder(DATA / "golden_embedder.emb")

@@ -185,9 +185,9 @@ def wmf_parts():
 
 
 def emb_parts():
-    cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8)
-    model = be._build_embedder(cfg, ["a", "b"], seed=1)
-    return {**asdict(cfg), "class_labels": ["a", "b"]}, [(name, node.value) for name, node in model.params.items()]
+    cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8, class_labels=("a", "b"))
+    model = be._build_embedder(cfg, seed=1)
+    return asdict(cfg), [(name, node.value) for name, node in model.params.items()]
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,9 @@ class Format:
     tensor: str  # a parameter name
     slot: str  # a batchnorm slot
     unknown_slot: str
+    out_of_range: tuple  # (config key, a JSON integer its config class rejects)
+    command: Callable  # (model path, scratch dir) -> a CLI argv that loads the model before any other file
+
 
     def write(self, path, edit_tensors=lambda t: t, edit_config=lambda c: c):
         config, tensors = self.parts()
@@ -212,12 +215,14 @@ FORMATS = {
     "wmf1": Format(
         wm.MODEL_MAGIC, wm.load_model, wmf_parts,
         lambda m: m.params.stats,
-        "dec.block1.conv.bias", "dec.bits.bn", "dec.block9.bn",
+        "dec.block1.conv.bias", "dec.bits.bn", "dec.block9.bn", ("message_length", 0),
+        lambda path, d: ["extract", "--model", str(path), str(d / "in.ppm")],
     ),
     "emb1": Format(
         be.EMBEDDER_MAGIC, be.load_embedder, emb_parts,
         lambda m: m.params.stats,
-        "emb.block1.conv.bias", "emb.block1.bn", "emb.block9.bn",
+        "emb.block1.conv.bias", "emb.block1.bn", "emb.block9.bn", ("embed_dim", 0),
+        lambda path, d: ["verify", "--embedder", str(path), str(d / "manifest.txt"), str(d / "out.txt")],
     ),
 }
 
@@ -285,6 +290,16 @@ class TestLoadState:
         fmt.write(tmp_path / "m", edit_config=lambda c: {**c, "base_channels": value})
         with pytest.raises(ValueError, match=r"bad config block: .*'base_channels'"):
             fmt.load(tmp_path / "m")
+
+    def test_out_of_range_config_value(self, tmp_path, fmt, capsys):
+        key, value = fmt.out_of_range
+        fmt.write(tmp_path / "m", edit_config=lambda c: {**c, key: value})
+        with pytest.raises(ValueError, match=f"bad config block: {key} must"):
+            fmt.load(tmp_path / "m")
+        assert cli.cli_dispatch(fmt.command(tmp_path / "m", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"bad config block: {key} must" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weight(self, tmp_path, fmt, value):

@@ -147,6 +147,16 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
         ("train-embedder", "batch_size=0", "batch_size"),
         ("train-embedder", "batch_size=1", "batch_size"),
         ("train-embedder", "base_channels=0", "base_channels"),
+        ("train-wm", "lr=-1", "lr"),
+        ("train-wm", "lr=nan", "lr"),
+        ("train-wm", "beta1=1.5", "beta1"),
+        ("train-wm", "beta2=-0.1", "beta2"),
+        ("train-wm", "eps=0", "eps"),
+        ("train-wm", "image_size=4", "image_size"),
+        ("train-wm", "image_size=0", "image_size"),
+        ("train-wm", "checkpoint_interval=-3", "checkpoint_interval"),
+        ("train-embedder", "lr=-1", "lr"),
+        ("train-embedder", "lr=inf", "lr"),
         ("sweep", "jpeg_grid=50.5", "jpeg_grid"),
         ("sweep", "jpeg_grid=inf", "jpeg_grid"),
     ],

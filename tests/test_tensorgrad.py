@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import facemark.tensorgrad as tg
+from _gradcheck import finite_diff_check, relu
 from _synth import sum_all
 
 
@@ -119,7 +120,7 @@ class TestConv2d:
             out = tg.conv2d(x, w, b, pad=3)
             return tg.mse_loss(out, tg.leaf(np.ones(out.value.shape)))
 
-        report = tg.finite_diff_check({"x": x, "w": w, "b": b}, build, tolerance=1e-6)
+        report = finite_diff_check({"x": x, "w": w, "b": b}, build, tolerance=1e-6)
         assert report.passed, str(report)
 
 
@@ -492,7 +493,7 @@ class TestBatchNormReluMatchOracles:
         x[x < -0.8] = 0.0
         x[0, 0, 0, :3] = [-0.0, 0.0, 5e-324]
         g = rng.standard_normal(x.shape)
-        node = tg.relu(tg.parameter(x))
+        node = relu(tg.parameter(x))
         (gx,) = node._vjp(g)
         out, want = oracle_relu(x, g)
         assert np.array_equal(node.value, out)
@@ -521,7 +522,7 @@ class TestBatchNormReluMatchOracles:
 
 def composed_block(x, weight, bias, gamma, beta, mode="train", running=None):
     """The earlier unfused block, three graph nodes built from the standalone ops."""
-    return tg.relu(tg.batchnorm2d(tg.conv2d(x, weight, bias, pad=1), gamma, beta, mode=mode, running=running))
+    return relu(tg.batchnorm2d(tg.conv2d(x, weight, bias, pad=1), gamma, beta, mode=mode, running=running))
 
 
 def _block_values(rng, c_in, c_out):
@@ -637,7 +638,7 @@ class TestConvBnReluMatchesComposition:
             h = tg.conv_bn_relu(*nodes[:5], mode="train")
             return tg.mse_loss(tg.conv_bn_relu(h, *nodes[5:], mode="train"), target)
 
-        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        report = finite_diff_check(params, build, tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_infer_mode_matches_finite_differences(self):
@@ -650,7 +651,7 @@ class TestConvBnReluMatchesComposition:
         def build():
             return tg.mse_loss(tg.conv_bn_relu(*params.values(), mode="infer", running=running), target)
 
-        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        report = finite_diff_check(params, build, tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_ops_are_called_through_module_names(self, monkeypatch):
@@ -701,23 +702,23 @@ class TestConvBnReluMatchesComposition:
 
 class TestElementwise:
     def test_relu_examples(self):
-        out = tg.relu(tg.leaf(np.array([[-1.0, 0.0, 2.0]])))
+        out = relu(tg.leaf(np.array([[-1.0, 0.0, 2.0]])))
         np.testing.assert_array_equal(out.value, [[0.0, 0.0, 2.0]])
 
     def test_relu_gradients(self):
         neg = tg.parameter(-np.ones((2, 2)))
-        loss = sum_all(tg.relu(neg))
+        loss = sum_all(relu(neg))
         tg.backward(loss)
         np.testing.assert_array_equal(neg.grad, np.zeros((2, 2)))
 
         pos = tg.parameter(np.ones((2, 2)))
-        loss = sum_all(tg.relu(pos))
+        loss = sum_all(relu(pos))
         tg.backward(loss)
         np.testing.assert_array_equal(pos.grad, np.ones((2, 2)))
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = tg.parameter(np.zeros((3,)))
-        loss = sum_all(tg.relu(x))
+        loss = sum_all(relu(x))
         tg.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros(3))
 
@@ -913,7 +914,7 @@ class TestBackward:
     def test_non_scalar_loss_raises(self):
         x = tg.parameter(np.ones(3))
         with pytest.raises(ValueError, match="scalar"):
-            tg.backward(tg.relu(x))
+            tg.backward(relu(x))
 
     def test_cycle_detected(self):
         x = tg.parameter(np.ones(1))
@@ -931,13 +932,13 @@ class TestBackward:
         b2 = tg.parameter(rng.standard_normal(4) * 0.1)
 
         def build():
-            h = tg.relu(tg.conv2d(x, w, b, pad=1))
+            h = relu(tg.conv2d(x, w, b, pad=1))
             pooled = tg.global_avg_pool(h)
             out = tg.affine(pooled, w2, b2)
             return tg.mse_loss(out, tg.leaf(np.zeros((2, 4))))
 
         params = {"x": x, "w": w, "b": b, "w2": w2, "b2": b2}
-        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        report = finite_diff_check(params, build, tolerance=1e-4)
         assert report.passed, str(report)
 
 
@@ -1021,7 +1022,7 @@ class TestAugmentationOps:
         def build():
             return sum_all(tg.resize_bilinear(x, 5, 6))
 
-        assert tg.finite_diff_check({"x": x}, build, tolerance=1e-6).passed
+        assert finite_diff_check({"x": x}, build, tolerance=1e-6).passed
 
     def test_brightness_and_contrast_gradients(self):
         rng = np.random.default_rng(16)
@@ -1034,8 +1035,8 @@ class TestAugmentationOps:
         def build_contrast():
             return sum_all(tg.adjust_contrast(x, 1.7, weights))
 
-        assert tg.finite_diff_check({"x": x}, build_brightness, tolerance=1e-6).passed
-        assert tg.finite_diff_check({"x": x}, build_contrast, tolerance=1e-5).passed
+        assert finite_diff_check({"x": x}, build_brightness, tolerance=1e-6).passed
+        assert finite_diff_check({"x": x}, build_contrast, tolerance=1e-5).passed
 
     def test_clamp_passes_gradient_on_the_closed_interval(self):
         # brightness 2: pre = 0, 1, 1.5 -> gradient 2, 2, 0
@@ -1070,7 +1071,7 @@ class TestFiniteDiffCheck:
         def build():
             return sum_all(tg.scale(x, 3.0))
 
-        report = tg.finite_diff_check({"x": x}, build, tolerance=1e-8)
+        report = finite_diff_check({"x": x}, build, tolerance=1e-8)
         assert report.passed, str(report)
         assert max(report.max_rel_error.values()) < 1e-8
 
@@ -1085,10 +1086,10 @@ class TestFiniteDiffCheck:
         def build():
             h = tg.conv2d(x, w, b, pad=1)
             h = tg.batchnorm2d(h, gamma, beta, mode="train")
-            return tg.mse_loss(tg.relu(h), tg.leaf(np.zeros(h.value.shape)))
+            return tg.mse_loss(relu(h), tg.leaf(np.zeros(h.value.shape)))
 
         params = {"x": x, "w": w, "b": b, "gamma": gamma, "beta": beta}
-        report = tg.finite_diff_check(params, build, tolerance=1e-4)
+        report = finite_diff_check(params, build, tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_corrupted_gradient_fails(self):
@@ -1099,7 +1100,7 @@ class TestFiniteDiffCheck:
             doubled._vjp = lambda g: (2.0 * g,)  # deliberately wrong backward
             return sum_all(doubled)
 
-        report = tg.finite_diff_check({"x": x}, build, tolerance=1e-4)
+        report = finite_diff_check({"x": x}, build, tolerance=1e-4)
         assert not report.passed
         assert "x" in report.failures
 
@@ -1115,7 +1116,7 @@ class TestDeterminism:
             x = tg.leaf(rng.random((2, 3, 8, 8)))
             w = tg.leaf(rng.standard_normal((4, 3, 3, 3)))
             b = tg.leaf(rng.standard_normal(4))
-            h = tg.relu(tg.conv2d(x, w, b, pad=1))
+            h = relu(tg.conv2d(x, w, b, pad=1))
             return tg.global_avg_pool(h).value.copy()
 
         np.testing.assert_array_equal(run(), run())
