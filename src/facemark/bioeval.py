@@ -582,8 +582,12 @@ def embed_images(model, images, identities, source="original"):
         vectors = features.value.astype(np.float32)
     else:
         # Untrained embedder: each image runs alone on its own batch statistics,
-        # so embeddings do not depend on how the batch was composed.
-        rows = [forward_embedder(model, img[None], "train", track_stats=False)[0].value[0] for img in data]
+        # so embeddings do not depend on how the batch was composed, and the
+        # images can spread over the usable cores.
+        def alone(img):
+            return forward_embedder(model, img[None], "train", track_stats=False)[0].value[0]
+
+        rows = tg.map_ordered(alone, data)
         vectors = np.stack(rows).astype(np.float32)
     return [Embedding(vector=vectors[i], identity=labels[i], source=source) for i in range(len(labels))]
 

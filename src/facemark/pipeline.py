@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -267,10 +268,13 @@ def load_manifest(path):
     """Read a ``path,identity`` CSV; '#' comments allowed.
 
     A ``# source_tag: <tag>`` comment marks every entry's source; paths are
-    resolved relative to the manifest file's directory.
+    resolved relative to the manifest file's directory. An image path
+    listed twice (after normalisation, so ``a.ppm`` and ``./a.ppm`` are one
+    path) is an error naming both lines.
     """
     path = Path(path)
     entries = []
+    first_line = {}
     source_tag = "original"
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
@@ -285,7 +289,12 @@ def load_manifest(path):
             rel, sep, identity = line.partition(",")
             if not sep or not identity.strip():
                 raise ValueError(f"{path}:{ln}: expected 'path,identity', got {line!r}")
-            entries.append((rel.strip(), identity.strip()))
+            rel = rel.strip()
+            key = os.path.normpath(rel)
+            if key in first_line:
+                raise ValueError(f"{path}:{ln}: image {rel!r} is already listed on line {first_line[key]}")
+            first_line[key] = ln
+            entries.append((rel, identity.strip()))
     if not entries:
         raise ValueError(f"{path}: manifest lists no images")
     manifest = DatasetManifest(entries=entries, root=path.parent, source_tag=source_tag)
@@ -448,28 +457,35 @@ def watermark_dataset(model, manifest, message, out_dir):
     Unreadable images are recorded and skipped; more than 10% failures
     aborts. The reported PSNR compares each original with its 8-bit
     quantized watermarked copy, i.e. with what lands on disk.
+
+    Images are spread over the usable cores (:func:`tensorgrad.map_ordered`),
+    each loaded, encoded, written and scored by one thread. The written
+    entries, the ``failed`` list and the PSNR values are gathered in
+    manifest order, so the output manifest, the failure order and the mean
+    PSNR (summed in that order) are those of a serial run.
     """
     msg = msgcodec.validate_message(message, model.config.message_length)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     channels = model.config.image_channels
 
-    written_entries = []
-    failed = []
-    psnrs = []
-    for rel, identity in manifest.entries:
+    def mark(entry):
+        rel, _ = entry
         src = manifest.root / rel
         try:
             image = imageops.load_image(src, channels)
         except (OSError, ValueError) as exc:
-            failed.append((str(src), str(exc)))
-            continue
+            return None, (str(src), str(exc))
         marked = wm.encode(model, image, msg)
         dest = out_dir / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
         imageops.save_image(marked, dest)
-        psnrs.append(imageops.psnr(image, imageops.to_8bit(marked) / 255.0))
-        written_entries.append((rel, identity))
+        return imageops.psnr(image, imageops.to_8bit(marked) / 255.0), None
+
+    outcomes = tg.map_ordered(mark, manifest.entries)
+    written_entries = [entry for entry, (_, failure) in zip(manifest.entries, outcomes) if failure is None]
+    failed = [failure for _, failure in outcomes if failure is not None]
+    psnrs = [psnr for psnr, failure in outcomes if failure is None]
 
     total = len(manifest.entries)
     if failed and len(failed) > 0.1 * total:
@@ -518,6 +534,13 @@ def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
     Every image is watermarked once; each cell applies its transform (with
     a per-cell derived seed for random crops) and decodes. A failing cell
     is recorded as NaN with its reason rather than aborting the sweep.
+
+    The encodes, then every (cell, repetition, image) score, are spread
+    over the usable cores (:func:`tensorgrad.map_ordered`). Each cell is
+    then put together in (repetition, image) order, as a serial loop would
+    score it: its mean and std sum in that order, and a failing cell's
+    ``n`` counts the images scored before its first failure in that order,
+    whose message is its ``reason``.
     """
     msg = msgcodec.validate_message(message, model.config.message_length)
     if isinstance(images_or_manifest, DatasetManifest):
@@ -527,28 +550,37 @@ def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
     if images.ndim != 4 or images.shape[0] == 0:
         raise ValueError("sweep needs a non-empty (M,C,H,W) image stack")
 
-    marked = [wm.encode(model, images[i], msg) for i in range(images.shape[0])]
+    marked = tg.map_ordered(lambda image: wm.encode(model, image, msg), images)
+
+    def score(task):
+        kind, fi, factor, rep, i = task
+        try:
+            seed = _derive_seed(spec.seed, kind, fi, rep, i)
+            transform = imageops.Transform(kind=kind, factor=float(factor), seed=seed)
+            attacked = imageops.apply_transform(marked[i], transform)
+            return msgcodec.bit_accuracy(msg, wm.extract(model, attacked))
+        except (ValueError, RuntimeError) as exc:
+            return exc
+
+    grid_cells = [(kind, fi, factor) for kind, grid in spec.cells for fi, factor in enumerate(grid)]
+    per_cell = spec.repetitions * len(marked)
+    tasks = [(*cell, rep, i) for cell in grid_cells for rep in range(spec.repetitions) for i in range(len(marked))]
+    scores = tg.map_ordered(score, tasks)
 
     cells = []
-    for kind, grid in spec.cells:
-        for fi, factor in enumerate(grid):
-            accs = []
-            reason = None
-            try:
-                for rep in range(spec.repetitions):
-                    for i, image in enumerate(marked):
-                        seed = _derive_seed(spec.seed, kind, fi, rep, i)
-                        transform = imageops.Transform(kind=kind, factor=float(factor), seed=seed)
-                        attacked = imageops.apply_transform(image, transform)
-                        recovered = wm.extract(model, attacked)
-                        accs.append(msgcodec.bit_accuracy(msg, recovered))
-                mean = float(np.mean(accs))
-                std = float(np.std(accs))
-            except (ValueError, RuntimeError) as exc:
-                mean, std, reason = float("nan"), float("nan"), str(exc)
-            cells.append(
-                SweepCell(kind=kind, factor=factor, mean_bit_acc=mean, std=std, n=len(accs), reason=reason)
-            )
+    for c, (kind, _, factor) in enumerate(grid_cells):
+        accs = []
+        reason = None
+        for result in scores[c * per_cell : (c + 1) * per_cell]:
+            if isinstance(result, Exception):
+                reason = str(result)
+                break
+            accs.append(result)
+        if reason is None:
+            mean, std = float(np.mean(accs)), float(np.std(accs))
+        else:
+            mean, std = float("nan"), float("nan")
+        cells.append(SweepCell(kind=kind, factor=factor, mean_bit_acc=mean, std=std, n=len(accs), reason=reason))
     return cells
 
 

@@ -27,13 +27,18 @@ Conventions
   holds only ``xhat`` and its output beyond its input.
 * The ReLU uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
-* Parallelism: ``conv2d`` splits a batch into contiguous sample ranges,
-  one per usable core, and runs them on one module-level thread pool. Each
+* Parallelism: one module-level thread pool has two users. ``conv2d``
+  splits a batch into contiguous sample ranges, one per usable core. Each
   sample's GEMM is the same single BLAS call it is serially, and every
   patch buffer and output array is allocated by the calling thread before
   the ranges start; workers only write into them. A batch of one sample,
   or a process with one usable core, runs inline on the calling thread.
-  No GEMM is ever split across threads.
+  :func:`map_ordered` spreads independent items (one image each, in the
+  pipeline) over the calling thread and the pool, and returns results in
+  input order. Inside a map every ``conv2d`` runs inline on its own
+  thread, whatever its batch size: a participant that waited on the pool
+  could wait behind the participants themselves. No GEMM is ever split
+  across threads.
 * Results repeat bit for bit on any number of usable cores, given one BLAS
   thread: importing :mod:`facemark` before numpy pins BLAS to one thread.
   At more BLAS threads the last digits can change, because BLAS then
@@ -58,6 +63,7 @@ __all__ = [
     "leaf",
     "parameter",
     "conv2d",
+    "map_ordered",
     "batchnorm2d",
     "conv_bn_relu",
     "conv_bn_layout",
@@ -138,8 +144,9 @@ def _result(value, op, parents, vjp):
 # convolution
 # ---------------------------------------------------------------------------
 
-_POOL = None  # created by the first multi-range conv2d call
+_POOL = None  # created by the first call that needs a second thread
 _POOL_LOCK = threading.Lock()
+_LOCAL = threading.local()  # ``in_map`` is set while the thread runs a map participant
 
 
 def _forget_pool():
@@ -161,25 +168,90 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def _pool():
+    """The module's one thread pool, for sample ranges and map participants alike."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:  # threads start only as work needs them; cpu_count bounds any affinity mask
+            _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tensorgrad")
+        return _POOL
+
+
+def _in_map():
+    return getattr(_LOCAL, "in_map", False)
+
+
+def map_ordered(fn, items):
+    """``[fn(item) for item in items]``, with the items spread over the usable cores.
+
+    The calling thread and up to ``usable cores - 1`` pool threads each
+    take the next unclaimed item until none is left; results come back in
+    input order. Every ``conv2d`` inside ``fn`` runs inline on its own
+    thread. Once an item has raised, no new item is taken; after every
+    participant has stopped, the exception of the earliest raising item in
+    input order is re-raised, which is the one a serial loop would raise.
+    With one usable core or one item, or when called from inside a map,
+    the items run serially on the calling thread.
+    """
+    items = list(items)
+    participants = min(len(items), _usable_cores())
+    if participants < 2 or _in_map():
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors = {}
+    claim = threading.Lock()
+    taken = 0
+
+    def participate():
+        nonlocal taken
+        _LOCAL.in_map = True
+        try:
+            while True:
+                with claim:
+                    if taken == len(items) or errors:
+                        return
+                    i, taken = taken, taken + 1
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # re-raised by the caller once every participant has stopped
+                    with claim:
+                        errors[i] = exc
+        finally:
+            _LOCAL.in_map = False
+
+    pool = _pool()
+    futures = [pool.submit(participate) for _ in range(participants - 1)]
+    try:
+        participate()
+    finally:  # no participant may still be writing when the caller moves on
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _over_samples(n, buf_shape, work):
     """Run ``work(lo, hi, buf)`` over contiguous ranges that cover samples ``0..n-1``.
 
-    There is one range per usable core, at most one per sample. Each range
-    gets its own zeroed ``buf_shape`` buffer, allocated here on the calling
-    thread. The calling thread runs the first range and the pool the rest;
-    with one range there is no pool and no future.
+    There is one range per usable core, at most one per sample, and the
+    ranges are in sample order: each sample's arithmetic is the same
+    whichever range runs it. Each range gets its own zeroed ``buf_shape``
+    buffer, allocated here on the calling thread. The calling thread runs
+    the first range and the pool the rest. With one range there is no pool
+    and no future: that is the case for one sample, one usable core, or a
+    call from inside :func:`map_ordered`. No samples means no call to ``work``.
     """
-    global _POOL
-    ranges = min(n, _usable_cores())
+    if n == 0:
+        return
+    ranges = 1 if _in_map() else min(n, _usable_cores())
     bounds = [n * r // ranges for r in range(ranges + 1)]
     bufs = [np.zeros(buf_shape) for _ in range(ranges)]
     if ranges == 1:
         work(0, n, bufs[0])
         return
-    with _POOL_LOCK:
-        if _POOL is None:  # threads start only as ranges need them; cpu_count bounds any affinity mask
-            _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tensorgrad")
-    futures = [_POOL.submit(work, bounds[r], bounds[r + 1], bufs[r]) for r in range(1, ranges)]
+    pool = _pool()
+    futures = [pool.submit(work, bounds[r], bounds[r + 1], bufs[r]) for r in range(1, ranges)]
     try:
         work(bounds[0], bounds[1], bufs[0])
     finally:  # no worker may still be writing when the caller moves on
@@ -282,7 +354,7 @@ def conv2d(x, weight, bias, pad=0):
                     np.matmul(gf[s], cols.T, out=products[s].reshape(c_out, c_in * k * k))
 
             _over_samples(n, (c_in, k, k, out_h, out_w), work)
-            gw = products[0].copy()
+            gw = products[0].copy() if n else np.zeros(weight.value.shape)
             for product in products[1:]:
                 gw += product
         if x.requires_grad:

@@ -949,6 +949,16 @@ class TestEmbedImages:
         assert_stats_unchanged(model, before)
         assert [slot for slot, r in model.params.stats.items() if r.populated] == populated
 
+    def test_unpopulated_embedder_vectors_repeat_on_any_worker_count(self, conv_workers):
+        model = self.untrained()
+        images, labels = self.images()
+        vectors = {}
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            vectors[workers] = [emb.vector for emb in be.embed_images(model, images, labels)]
+        for workers in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(vectors[workers], vectors[1], strict=True)), workers
+
     def test_empty_identity_label_rejected(self):
         images, labels = self.images(count=4)[0], ["a", "a", "", ""]
         with pytest.raises(ValueError, match="every image needs a non-empty identity label"):

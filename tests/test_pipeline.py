@@ -1,6 +1,7 @@
 """Config keys, training reruns with byte-identical outputs whatever the BLAS thread
-variables or the usable core count, `train-wm` checkpoints, and training memory that
-stays at one step's graph."""
+variables or the usable core count, `train-wm` checkpoints, training memory that
+stays at one step's graph, sweeps and dataset watermarking that give the serial
+outputs on any worker count, and manifests that list an image twice."""
 
 import os
 import re
@@ -309,3 +310,146 @@ def test_embedder_training_holds_one_batch_graph_at_a_time():
 
     one, three = _traced_peak(train(1)), _traced_peak(train(3))
     assert three <= one * 1.02, (one, three)
+
+
+# ---------------------------------------------------------------------------
+# per-image paths spread over the cores
+# ---------------------------------------------------------------------------
+
+TINY_CONFIG = pipeline.TrainConfig(
+    steps=1, batch_size=2, image_size=16, message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+)
+TINY_MESSAGE = [1, 0, 1, 1]
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    from _synth import texture_images
+
+    model, _ = pipeline.train_watermark(TINY_CONFIG, texture_images(2, 16, seed=4))
+    return model
+
+
+def _rows(cells):
+    return [(c.kind, c.factor, repr(c.mean_bit_acc), repr(c.std), c.n, c.reason) for c in cells]
+
+
+def test_sweep_rows_and_failing_cells_repeat_on_any_worker_count(conv_workers, monkeypatch, tiny_model):
+    from _synth import texture_images
+    from facemark import imageops
+
+    images = texture_images(3, 16, seed=5)
+    # crop 0.4 leaves 6x6 pixels, below the decoder's minimum, so that cell fails on its first image
+    spec = pipeline.SweepSpec(
+        sweep_kinds=("crop", "jpeg"), crop_grid=(1.0, 0.75, 0.4), jpeg_grid=(90, 60), repetitions=2, seed=7,
+    )
+    # Two planted failures late in the (jpeg, 60) cell: the first in (repetition, image) order names it.
+    planted = {pipeline._derive_seed(7, "jpeg", 1, 1, 1): "first", pipeline._derive_seed(7, "jpeg", 1, 1, 2): "second"}
+    apply_transform = imageops.apply_transform
+
+    def failing_transform(image, transform):
+        if transform.seed in planted:
+            raise RuntimeError(f"planted {planted[transform.seed]} failure")
+        return apply_transform(image, transform)
+
+    monkeypatch.setattr(imageops, "apply_transform", failing_transform)
+    rows = {}
+    for workers in (1, 2, 3):
+        conv_workers(workers)
+        rows[workers] = _rows(pipeline.run_sweep(tiny_model, images, TINY_MESSAGE, spec))
+    assert rows[2] == rows[1] and rows[3] == rows[1]
+    by_cell = {(kind, factor): (n, reason) for kind, factor, _, _, n, reason in rows[1]}
+    assert by_cell[("crop", 0.4)] == (0, "decoder needs at least 8x8 pixels, got 6x6")
+    assert by_cell[("jpeg", 60)] == (4, "planted first failure")  # rep 0's three images, then rep 1's image 0
+    assert all(n == 6 and reason is None for key, (n, reason) in by_cell.items() if key not in (("crop", 0.4), ("jpeg", 60)))
+
+
+def _write_images(root, images, bad_at=()):
+    """PPMs in two subdirectories plus a manifest; an unreadable file at each ``bad_at`` index."""
+    from facemark import imageops
+
+    entries = []
+    for i, image in enumerate(images):
+        rel = f"sub{i % 2}/img{i}.ppm"
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        if i in bad_at:
+            (root / rel).write_bytes(b"not an image")
+        else:
+            imageops.save_ppm(image, root / rel)
+        entries.append(f"{rel},id{i % 3}")
+    (root / "manifest.csv").write_text("\n".join(entries) + "\n", encoding="utf-8")
+    return root / "manifest.csv"
+
+
+def test_watermark_dataset_outputs_repeat_on_any_worker_count(conv_workers, tmp_path, tiny_model):
+    import hashlib
+
+    from _synth import texture_images
+
+    manifest = pipeline.load_manifest(_write_images(tmp_path / "in", texture_images(20, 16, seed=6), bad_at=(5, 12)))
+    outputs = {}
+    for workers in (1, 2, 3):
+        conv_workers(workers)
+        out_dir = tmp_path / f"out{workers}"
+        result = pipeline.watermark_dataset(tiny_model, manifest, TINY_MESSAGE, out_dir)
+        digests = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.rglob("*.p*"))}
+        failed = [(str(Path(path).relative_to(tmp_path)), reason.replace(str(tmp_path), "")) for path, reason in result.failed]
+        outputs[workers] = (digests, result.manifest.entries, failed, result.written, result.mean_psnr.hex(),
+                            result.manifest_path.read_text(encoding="utf-8"))
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    digests, entries, failed, written, _, _ = outputs[1]
+    assert written == 18 and len(digests) == 18
+    assert entries == [e for i, e in enumerate(manifest.entries) if i not in (5, 12)]
+    assert [path for path, _ in failed] == ["in/sub1/img5.ppm", "in/sub0/img12.ppm"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_sweeps_after_its_parent_has_mapped(conv_workers, tiny_model):
+    import signal
+
+    from _synth import texture_images
+    from facemark import tensorgrad as tg
+
+    conv_workers(2)
+    images = texture_images(2, 16, seed=5)
+    spec = pipeline.SweepSpec(sweep_kinds=("crop",), crop_grid=(1.0, 0.75))
+    serial = _rows(pipeline.run_sweep(tiny_model, images, TINY_MESSAGE, spec))
+    assert tg._POOL.submitted > 0
+    pid = os.fork()
+    if pid == 0:  # child: a hung map dies at the alarm
+        code = 1
+        try:
+            signal.alarm(30)
+            code = 0 if _rows(pipeline.run_sweep(tiny_model, images, TINY_MESSAGE, spec)) == serial else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+
+@pytest.mark.parametrize("second", ["img0.ppm", "./img0.ppm", "sub/../img0.ppm"])
+def test_load_manifest_rejects_an_image_listed_twice(tmp_path, second):
+    from _synth import texture_images
+
+    _write_images(tmp_path, texture_images(2, 16, seed=1))
+    (tmp_path / "img0.ppm").write_bytes((tmp_path / "sub0/img0.ppm").read_bytes())
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "dup.csv").write_text(f"# source_tag: original\nimg0.ppm,a\nsub1/img1.ppm,b\n\n{second},c\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"dup.csv:5: image {second!r} is already listed on line 2")):
+        pipeline.load_manifest(tmp_path / "dup.csv")
+
+
+def test_watermark_dataset_cli_rejects_an_image_listed_twice(tmp_path, capsys):
+    from _synth import texture_images
+    from facemark import cli
+
+    manifest = _write_images(tmp_path, texture_images(2, 16, seed=1))
+    manifest.write_text("sub0/img0.ppm,a\nsub1/img1.ppm,b\nsub0/img0.ppm,a\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["watermark-dataset", "--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110",
+            str(manifest), str(out)]
+    assert cli.cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.csv:3:" in err and "line 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -4,10 +4,9 @@ import itertools
 import os
 import re
 import signal
-import sys
+import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -250,41 +249,6 @@ class TestConv2dMatchesWholeBatchOracle:
         assert peak < patch_matrix_bytes
 
 
-class _CountingPool(ThreadPoolExecutor):
-    """A real pool that counts the ranges handed to it."""
-
-    def __init__(self):
-        super().__init__(thread_name_prefix="counting")
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture
-def conv_workers(monkeypatch):
-    """Set the core count conv2d reads; return the pool it then submits to.
-
-    The interpreter switches threads as often as it can meanwhile, so
-    workers interleave far more finely than they would in a real run.
-    """
-    pool = _CountingPool()
-    monkeypatch.setattr(tg, "_POOL", pool)
-
-    def set_workers(count):
-        monkeypatch.setattr(tg, "_usable_cores", lambda: count)
-        return pool
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield set_workers
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown()
-
-
 _GRAD_SUBSETS = list(itertools.product((False, True), repeat=3))  # requires_grad of (x, weight, bias)
 
 
@@ -347,6 +311,86 @@ class TestConv2dOverSamples:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_empty_batch_gives_empty_outputs_and_zero_parameter_gradients(self, conv_workers, workers):
+        pool = conv_workers(workers)
+        x, w, b, g = _conv_case(0, 2, 3, 8, seed=32)
+        out, gx, gw, gb = _conv_with_grads(x, w, b, g, pad=1)
+        assert out.shape == (0, 3, 8, 8) and gx.shape == (0, 2, 8, 8)
+        assert np.array_equal(gw, np.zeros((3, 2, 3, 3))) and np.array_equal(gb, np.zeros(3))
+        assert pool.submitted == 0
+
+    def test_the_networks_run_on_zero_images(self):
+        from _synth import texture_images
+        from facemark import pipeline
+        from facemark import watermarknet as wm
+
+        config = pipeline.TrainConfig(
+            steps=1, batch_size=2, image_size=16, message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+        )
+        model, _ = pipeline.train_watermark(config, texture_images(2, 16, seed=4))
+        none = np.zeros((0, 3, 16, 16))
+        assert wm.forward_encoder(model, none, np.zeros((0, 4)), mode="infer").value.shape == (0, 3, 16, 16)
+        assert wm.forward_decoder(model, none, mode="infer").value.shape == (0, 4)
+
+
+class TestMapOrdered:
+    """One ordered map over items, on the caller and the conv pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_input_order_with_each_item_run_once(self, conv_workers, workers):
+        conv_workers(workers)
+        ran = []
+
+        def square(i):
+            ran.append(i)  # the switch interval is 1 µs here, so a lost or doubled claim shows
+            return i * i
+
+        assert tg.map_ordered(square, range(300)) == [i * i for i in range(300)]
+        assert sorted(ran) == list(range(300))
+
+    def test_no_items_give_no_results(self, conv_workers):
+        pool = conv_workers(3)
+        assert tg.map_ordered(lambda item: 1 / 0, []) == []
+        assert pool.submitted == 0
+
+    def test_a_batch_conv2d_inside_the_map_runs_inline(self, conv_workers):
+        pool = conv_workers(3)
+        cases = [_conv_case(2, 3, 4, 6, seed=40 + i) for i in range(5)]
+        serial = [_conv_with_grads(*case, pad=1) for case in cases]
+        before = pool.submitted
+        results = []
+        runner = threading.Thread(target=lambda: results.append(tg.map_ordered(lambda case: _conv_with_grads(*case, pad=1), cases)))
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "map_ordered hung"
+        (mapped,) = results
+        assert pool.submitted - before == 2  # the map's own participants beyond its caller; no sample ranges
+        for want, got in zip(serial, mapped):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_first_exception_in_input_order_is_raised(self, conv_workers, workers):
+        conv_workers(workers)
+        later_failed = threading.Event()
+        ran = []
+
+        def fail_early_items(i):
+            ran.append(i)
+            if i == 0:  # item 1 fails first, then item 0
+                later_failed.wait(timeout=10)
+                raise ValueError("item 0")
+            if i == 1:
+                later_failed.set()
+                raise RuntimeError("item 1")
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            tg.map_ordered(fail_early_items, range(6))
+        assert later_failed.is_set()
+        if workers == 2:  # both participants stop after their failure: no item is taken once one has raised
+            assert sorted(ran) == [0, 1]
 
 
 class TestBatchNorm:
