@@ -20,10 +20,13 @@ Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to ``1`` in ``os.environ``, overriding any value
 already there (child processes inherit it). BLAS reads them once, when
 numpy first loads, so the pin applies only when facemark is imported
-before numpy. ``tensorgrad.conv2d`` spreads a batch's samples over the
-usable cores itself; with BLAS at one thread, results are bit-identical
-whatever the environment or the core count, and the pool's threads do not
-compete with BLAS threads for the same cores.
+before numpy. The package spreads work over the usable cores itself,
+through one ordered map on one thread pool (``tensorgrad.map_ordered``):
+the sample ranges of each ``conv2d`` batch, and the images of a sweep, a
+dataset watermarking run or an untrained embedder. With BLAS at one
+thread, results are bit-identical whatever the environment or the core
+count, and the pool's threads do not compete with BLAS threads for the
+same cores.
 """
 
 import os as _os

@@ -576,7 +576,7 @@ def embed_images(model, images, identities, source="original"):
     data, labels = _labelled_images(images, identities)
     size = model.config.image_size
     if data.shape[2] != size or data.shape[3] != size:
-        data = tg.bilinear_resize(data, size, size)
+        data = tg.resize_bilinear(tg.leaf(data), size, size).value
     if all(s.populated for s in model.params.stats.values()):
         features, _ = forward_embedder(model, data, mode="infer")
         vectors = features.value.astype(np.float32)

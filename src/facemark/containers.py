@@ -43,7 +43,7 @@ class Model:
 
 
 def write_container(path, magic, config, step, tensors):
-    """Write named float arrays; ``tensors`` is an ordered list of (name, array)."""
+    """Write named float arrays under the 4-byte ``magic``; ``tensors`` is an ordered list of (name, array)."""
     if len(magic) != 4:
         raise ValueError(f"magic must be 4 bytes, got {magic!r}")
     manifest = [[name, list(np.asarray(arr).shape)] for name, arr in tensors]
@@ -53,7 +53,7 @@ def write_container(path, magic, config, step, tensors):
         separators=(",", ":"),
     ).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(magic if isinstance(magic, bytes) else magic.encode("ascii"))
+        fh.write(magic)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for _, arr in tensors:
@@ -61,12 +61,11 @@ def write_container(path, magic, config, step, tensors):
 
 
 def read_container(path, magic):
-    """Read a container back as (config, step, ordered {name: float64 array})."""
-    magic_b = magic if isinstance(magic, bytes) else magic.encode("ascii")
+    """Read a container written under the bytes ``magic`` back as (config, step, ordered {name: float64 array})."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != magic_b:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {magic_b!r}")
+    if data[:4] != magic:
+        raise ValueError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
     if len(data) < 8:
         raise ValueError(f"{path}: truncated before header length")
     (hlen,) = struct.unpack("<I", data[4:8])

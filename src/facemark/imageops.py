@@ -344,9 +344,7 @@ def transform_batch(x, kind, factor, rng):
         return tg.adjust_contrast(x, factor, LUMA_WEIGHTS if c == 3 else np.array([1.0]))
     if kind == "jpeg":
         quality = int(factor)
-        return tg.straight_through(
-            x, lambda batch: np.stack([jpeg_roundtrip(img, quality) for img in batch]), op="jpeg_straight_through"
-        )
+        return tg.straight_through(x, lambda batch: np.stack([jpeg_roundtrip(img, quality) for img in batch]))
     if kind == "identity":
         return x
     raise ValueError(f"unknown transform kind {kind!r}")

@@ -176,6 +176,13 @@ def parse_config(cls, mapping, seed_override=None):
     return cls(**kwargs)
 
 
+def _reject_repeats(key, values):
+    """A list value names each entry once: a repeat would only repeat its output."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{key} lists {repeated[0]!r} more than once")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Transform kinds to sweep, one factor grid per kind, repetitions and base seed.
@@ -196,6 +203,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        _reject_repeats("sweep_kinds", self.sweep_kinds)
         bad = [k for k in self.sweep_kinds if k not in _AUG_KINDS]
         if bad:
             raise ValueError(f"sweep_kinds has unknown kinds {bad}; expected a subset of {_AUG_KINDS}")
@@ -233,6 +241,8 @@ class VerifyOptions:
             raise ValueError(f"verify config: pairs_per_id must be >= 0, got {self.pairs_per_id}")
         if not self.far_targets:
             raise ValueError("verify config: far_targets must not be empty")
+        _reject_repeats("verify config: far_targets", self.far_targets)
+        _reject_repeats("verify config: modes", self.modes)
         for far in self.far_targets:
             if not (0.0 < far <= 1.0):
                 raise ValueError(f"verify config: far_targets values must lie in (0, 1], got {far}")
@@ -455,8 +465,10 @@ def watermark_dataset(model, manifest, message, out_dir):
     Outputs mirror the input tree under ``out_dir`` (same relative paths)
     and the emitted manifest carries the ``watermarked`` source tag.
     Unreadable images are recorded and skipped; more than 10% failures
-    aborts. The reported PSNR compares each original with its 8-bit
-    quantized watermarked copy, i.e. with what lands on disk.
+    aborts. An output path that resolves to a listed input image is an
+    error, raised before anything is encoded or written. The reported PSNR
+    compares each original with its 8-bit quantized watermarked copy, i.e.
+    with what lands on disk.
 
     Images are spread over the usable cores (:func:`tensorgrad.map_ordered`),
     each loaded, encoded, written and scored by one thread. The written
@@ -466,6 +478,10 @@ def watermark_dataset(model, manifest, message, out_dir):
     """
     msg = msgcodec.validate_message(message, model.config.message_length)
     out_dir = Path(out_dir)
+    sources = {path.resolve() for path in manifest.absolute_paths()}
+    for rel, _ in manifest.entries:
+        if (out_dir / rel).resolve() in sources:
+            raise ValueError(f"watermark_dataset: output {out_dir / rel} would overwrite a listed input image")
     out_dir.mkdir(parents=True, exist_ok=True)
     channels = model.config.image_channels
 

@@ -27,18 +27,17 @@ Conventions
   holds only ``xhat`` and its output beyond its input.
 * The ReLU uses subgradient 0 at exactly 0. The clamp in the photometric
   ops passes gradient on the closed interval [0, 1].
-* Parallelism: one module-level thread pool has two users. ``conv2d``
-  splits a batch into contiguous sample ranges, one per usable core. Each
-  sample's GEMM is the same single BLAS call it is serially, and every
-  patch buffer and output array is allocated by the calling thread before
-  the ranges start; workers only write into them. A batch of one sample,
-  or a process with one usable core, runs inline on the calling thread.
-  :func:`map_ordered` spreads independent items (one image each, in the
-  pipeline) over the calling thread and the pool, and returns results in
-  input order. Inside a map every ``conv2d`` runs inline on its own
-  thread, whatever its batch size: a participant that waited on the pool
-  could wait behind the participants themselves. No GEMM is ever split
-  across threads.
+* Parallelism: one module-level thread pool, used only by
+  :func:`map_ordered`, which spreads independent items over the calling
+  thread and the pool and returns results in input order. ``conv2d`` is a
+  map over contiguous sample ranges, one per usable core: each sample's
+  GEMM is the same single BLAS call it is serially, and every patch buffer
+  and output array is allocated by the calling thread before the ranges
+  start; workers only write into them. A map inside a map runs serially
+  on its own thread, so every ``conv2d`` inside a map (one image each, in
+  the pipeline) runs inline: a participant that waited on the pool could
+  wait behind the participants themselves. No GEMM is ever split across
+  threads.
 * Results repeat bit for bit on any number of usable cores, given one BLAS
   thread: importing :mod:`facemark` before numpy pins BLAS to one thread.
   At more BLAS threads the last digits can change, because BLAS then
@@ -85,7 +84,6 @@ __all__ = [
     "softmax_cross_entropy",
     "backward",
     "adam_step",
-    "bilinear_resize",
 ]
 
 
@@ -141,10 +139,10 @@ def _result(value, op, parents, vjp):
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# the thread pool and convolution
 # ---------------------------------------------------------------------------
 
-_POOL = None  # created by the first call that needs a second thread
+_POOL = None  # created by the first map that needs a second thread
 _POOL_LOCK = threading.Lock()
 _LOCAL = threading.local()  # ``in_map`` is set while the thread runs a map participant
 
@@ -168,34 +166,22 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _pool():
-    """The module's one thread pool, for sample ranges and map participants alike."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:  # threads start only as work needs them; cpu_count bounds any affinity mask
-            _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tensorgrad")
-        return _POOL
-
-
-def _in_map():
-    return getattr(_LOCAL, "in_map", False)
-
-
 def map_ordered(fn, items):
     """``[fn(item) for item in items]``, with the items spread over the usable cores.
 
-    The calling thread and up to ``usable cores - 1`` pool threads each
-    take the next unclaimed item until none is left; results come back in
-    input order. Every ``conv2d`` inside ``fn`` runs inline on its own
-    thread. Once an item has raised, no new item is taken; after every
-    participant has stopped, the exception of the earliest raising item in
-    input order is re-raised, which is the one a serial loop would raise.
-    With one usable core or one item, or when called from inside a map,
+    The calling thread and up to ``usable cores - 1`` threads of the
+    module's one pool each take the next unclaimed item until none is
+    left; results come back in input order. Once an item has raised, no
+    new item is taken; after every participant has stopped, the exception
+    of the earliest raising item in input order is re-raised, which is the
+    one a serial loop would raise. With one usable core or one item, or
+    when called from inside a map (so for every ``conv2d`` inside ``fn``),
     the items run serially on the calling thread.
     """
+    global _POOL
     items = list(items)
     participants = min(len(items), _usable_cores())
-    if participants < 2 or _in_map():
+    if participants < 2 or getattr(_LOCAL, "in_map", False):
         return [fn(item) for item in items]
     results = [None] * len(items)
     errors = {}
@@ -219,7 +205,10 @@ def map_ordered(fn, items):
         finally:
             _LOCAL.in_map = False
 
-    pool = _pool()
+    with _POOL_LOCK:
+        if _POOL is None:  # threads start only as work needs them; cpu_count bounds any affinity mask
+            _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tensorgrad")
+        pool = _POOL
     futures = [pool.submit(participate) for _ in range(participants - 1)]
     try:
         participate()
@@ -237,26 +226,12 @@ def _over_samples(n, buf_shape, work):
     There is one range per usable core, at most one per sample, and the
     ranges are in sample order: each sample's arithmetic is the same
     whichever range runs it. Each range gets its own zeroed ``buf_shape``
-    buffer, allocated here on the calling thread. The calling thread runs
-    the first range and the pool the rest. With one range there is no pool
-    and no future: that is the case for one sample, one usable core, or a
-    call from inside :func:`map_ordered`. No samples means no call to ``work``.
+    buffer, allocated here on the calling thread, and the ranges run
+    through :func:`map_ordered`. No samples means no call to ``work``.
     """
-    if n == 0:
-        return
-    ranges = 1 if _in_map() else min(n, _usable_cores())
-    bounds = [n * r // ranges for r in range(ranges + 1)]
+    ranges = min(n, _usable_cores())
     bufs = [np.zeros(buf_shape) for _ in range(ranges)]
-    if ranges == 1:
-        work(0, n, bufs[0])
-        return
-    pool = _pool()
-    futures = [pool.submit(work, bounds[r], bounds[r + 1], bufs[r]) for r in range(1, ranges)]
-    try:
-        work(bounds[0], bounds[1], bufs[0])
-    finally:  # no worker may still be writing when the caller moves on
-        for future in futures:
-            future.result()
+    map_ordered(lambda r: work(n * r // ranges, n * (r + 1) // ranges, bufs[r]), range(ranges))
 
 
 def _sample_patches(x, lo, hi, buf, pad):
@@ -370,15 +345,18 @@ def conv2d(x, weight, bias, pad=0):
 # batch normalization
 # ---------------------------------------------------------------------------
 
+_BN_EPS = 1e-5  # added to the variance before its square root
+_BN_MOMENTUM = 0.1  # the new batch's weight in the running statistics
+
+
 @dataclass
 class RunningStats:
     """Exponential moving average of per-channel batch statistics.
 
     Initialized on the first update to the batch statistics themselves,
-    then blended with ``momentum`` weight on the new batch.
+    then blended with weight 0.1 on the new batch.
     """
 
-    momentum: float = 0.1
     mean: np.ndarray | None = None
     var: np.ndarray | None = None
 
@@ -391,22 +369,21 @@ class RunningStats:
             self.mean = mean.copy()
             self.var = var.copy()
         else:
-            m = self.momentum
+            m = _BN_MOMENTUM
             self.mean = (1.0 - m) * self.mean + m * mean
             self.var = (1.0 - m) * self.var + m * var
 
 
-def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
+def batchnorm2d(x, gamma, beta, mode="train", running=None):
     """Per-channel normalization over the N, H, W axes.
 
     ``train`` normalizes with biased batch statistics and, when ``running``
     is given, updates its moving averages. ``infer`` requires populated
     running statistics. The same biased-variance convention is used for
-    normalization and for the stored running variance.
+    normalization and for the stored running variance; 1e-5 is added to
+    the variance before its square root.
     """
     x, gamma, beta = _as_node(x), _as_node(gamma), _as_node(beta)
-    if eps <= 0:
-        raise ValueError(f"batchnorm2d: eps must be > 0, got {eps}")
     if x.value.ndim != 4:
         raise ValueError(f"batchnorm2d: input must be 4-D (N,C,H,W), got shape {x.value.shape}")
     n, c, h, w = x.value.shape
@@ -431,7 +408,7 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None, eps=1e-5):
             raise ValueError("batchnorm2d: infer mode requires populated running statistics")
         mu, var = running.mean, running.var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     np.subtract(x.value, mu[None, :, None, None], out=xhat)
     xhat *= inv_std[None, :, None, None]
     out = gamma.value[None, :, None, None] * xhat
@@ -596,45 +573,30 @@ def _bilinear_taps(in_size, out_size):
     return i0, i1, t
 
 
-def bilinear_resize(arr, out_h, out_w):
-    """Bilinear resampling of the trailing two axes (align-corners false).
+def resize_bilinear(x, out_h, out_w):
+    """Differentiable bilinear resize of an N x C x H x W tensor (align-corners false).
 
     Sample centers sit at half-pixel positions; out-of-range taps clamp to
-    the edge. Plain-array helper shared by the differentiable op and the
-    embedder's input resize, so both use identical sampling.
+    the edge. The backward pass scatters through the forward's taps.
     """
-    in_h, in_w = arr.shape[-2], arr.shape[-1]
-    y0, y1, ty = _bilinear_taps(in_h, out_h)
-    x0, x1, tx = _bilinear_taps(in_w, out_w)
-    ty = ty.reshape(-1, 1)
-    tx = tx.reshape(1, -1)
-    top = arr[..., y0[:, None], x0[None, :]] * (1 - tx) + arr[..., y0[:, None], x1[None, :]] * tx
-    bot = arr[..., y1[:, None], x0[None, :]] * (1 - tx) + arr[..., y1[:, None], x1[None, :]] * tx
-    return top * (1 - ty) + bot * ty
-
-
-def resize_bilinear(x, out_h, out_w):
-    """Differentiable bilinear resize of an N x C x H x W tensor."""
     x = _as_node(x)
     if x.value.ndim != 4:
         raise ValueError(f"resize_bilinear: input must be 4-D, got shape {x.value.shape}")
-    in_h, in_w = x.value.shape[2], x.value.shape[3]
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resize_bilinear: output size {out_h}x{out_w} is empty")
-    out = bilinear_resize(x.value, out_h, out_w)
+    y0, y1, ty = (a[:, None] for a in _bilinear_taps(x.value.shape[2], out_h))
+    x0, x1, tx = (a[None, :] for a in _bilinear_taps(x.value.shape[3], out_w))
+    v = x.value
+    top = v[..., y0, x0] * (1 - tx) + v[..., y0, x1] * tx
+    bot = v[..., y1, x0] * (1 - tx) + v[..., y1, x1] * tx
+    out = top * (1 - ty) + bot * ty
 
     def vjp(g):
-        y0, y1, ty = _bilinear_taps(in_h, out_h)
-        x0, x1, tx = _bilinear_taps(in_w, out_w)
         gx = np.zeros_like(x.value)
-        ty2 = ty.reshape(-1, 1)
-        tx2 = tx.reshape(1, -1)
-        yy0, xx0 = y0[:, None], x0[None, :]
-        yy1, xx1 = y1[:, None], x1[None, :]
-        np.add.at(gx, (Ellipsis, yy0, xx0), g * (1 - ty2) * (1 - tx2))
-        np.add.at(gx, (Ellipsis, yy0, xx1), g * (1 - ty2) * tx2)
-        np.add.at(gx, (Ellipsis, yy1, xx0), g * ty2 * (1 - tx2))
-        np.add.at(gx, (Ellipsis, yy1, xx1), g * ty2 * tx2)
+        np.add.at(gx, (Ellipsis, y0, x0), g * (1 - ty) * (1 - tx))
+        np.add.at(gx, (Ellipsis, y0, x1), g * (1 - ty) * tx)
+        np.add.at(gx, (Ellipsis, y1, x0), g * ty * (1 - tx))
+        np.add.at(gx, (Ellipsis, y1, x1), g * ty * tx)
         return (gx,)
 
     return _result(out, "resize_bilinear", (x,), vjp)
@@ -680,7 +642,7 @@ def adjust_contrast(x, factor, channel_weights):
     return _result(out, "adjust_contrast", (x,), vjp)
 
 
-def straight_through(x, fn, op="straight_through"):
+def straight_through(x, fn):
     """Apply a non-differentiable array map; backward passes gradients unchanged.
 
     ``fn`` must preserve shape — used for the JPEG round trip inside training.
@@ -693,7 +655,7 @@ def straight_through(x, fn, op="straight_through"):
     def vjp(g):
         return (g,)
 
-    return _result(out, op, (x,), vjp)
+    return _result(out, "straight_through", (x,), vjp)
 
 
 def add(a, b):

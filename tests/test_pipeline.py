@@ -1,7 +1,8 @@
 """Config keys, training reruns with byte-identical outputs whatever the BLAS thread
 variables or the usable core count, `train-wm` checkpoints, training memory that
 stays at one step's graph, sweeps and dataset watermarking that give the serial
-outputs on any worker count, and manifests that list an image twice."""
+outputs on any worker count, manifests that list an image twice, and a
+`watermark-dataset` output directory that would overwrite its inputs."""
 
 import os
 import re
@@ -160,6 +161,9 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
         ("train-embedder", "lr=inf", "lr"),
         ("sweep", "jpeg_grid=50.5", "jpeg_grid"),
         ("sweep", "jpeg_grid=inf", "jpeg_grid"),
+        ("sweep", "sweep_kinds=crop,jpeg,crop", "sweep_kinds"),
+        ("verify", "modes=original-original,original-original", "modes"),
+        ("verify", "far_targets=0.1,0.1", "far_targets"),
     ],
 )
 def test_cli_config_values_rejected_before_images_are_read(tmp_path, capsys, command, line, key):
@@ -453,3 +457,26 @@ def test_watermark_dataset_cli_rejects_an_image_listed_twice(tmp_path, capsys):
     assert err.startswith("error: ") and "manifest.csv:3:" in err and "line 1" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_dir", [".", "sub0/.."], ids=["manifest-dir", "manifest-dir-respelled"])
+def test_watermark_dataset_cli_refuses_to_overwrite_its_inputs(tmp_path, capsys, out_dir):
+    import hashlib
+
+    from _synth import texture_images
+    from facemark import cli
+
+    manifest = _write_images(tmp_path, texture_images(3, 16, seed=1))
+    inputs = sorted(tmp_path.rglob("*.*"))
+
+    def digests():
+        return {path: hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs}
+
+    before = digests()
+    argv = ["watermark-dataset", "--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110",
+            str(manifest), str(tmp_path / out_dir)]
+    assert cli.cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "img0.ppm would overwrite a listed input image" in err
+    assert "Traceback" not in err
+    assert digests() == before and sorted(tmp_path.rglob("*.*")) == inputs
