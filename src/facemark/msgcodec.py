@@ -62,14 +62,14 @@ def bit_accuracy(a, b):
 
 
 def load_signature(path):
-    """Read a bitmap from text: first line "H W", then H rows of 0/1 chars."""
+    """Read a bitmap from text: first line "H W" (each at least 1), then H rows of 0/1 chars."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty signature file")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: first line must be 'H W', got {lines[0]!r}")
+    if len(head) != 2 or not all(part.isdigit() and int(part) >= 1 for part in head):
+        raise ValueError(f"{path}: first line must be 'H W' with H, W >= 1, got {lines[0]!r}")
     h, w = int(head[0]), int(head[1])
     if len(lines) - 1 != h:
         raise ValueError(f"{path}: expected {h} bitmap rows, found {len(lines) - 1}")

@@ -278,9 +278,10 @@ def load_manifest(path):
     """Read a ``path,identity`` CSV; '#' comments allowed.
 
     A ``# source_tag: <tag>`` comment marks every entry's source; paths are
-    resolved relative to the manifest file's directory. An image path
-    listed twice (after normalisation, so ``a.ppm`` and ``./a.ppm`` are one
-    path) is an error naming both lines.
+    resolved relative to the manifest file's directory. An empty image path,
+    or one that names that directory, is an error naming its line, and so is
+    an image path listed twice (after normalisation, so ``a.ppm`` and
+    ``./a.ppm`` are one path), naming both lines.
     """
     path = Path(path)
     entries = []
@@ -301,6 +302,8 @@ def load_manifest(path):
                 raise ValueError(f"{path}:{ln}: expected 'path,identity', got {line!r}")
             rel = rel.strip()
             key = os.path.normpath(rel)
+            if key == ".":
+                raise ValueError(f"{path}:{ln}: image path {rel!r} names no file, got {line!r}")
             if key in first_line:
                 raise ValueError(f"{path}:{ln}: image {rel!r} is already listed on line {first_line[key]}")
             first_line[key] = ln
@@ -308,7 +311,7 @@ def load_manifest(path):
     if not entries:
         raise ValueError(f"{path}: manifest lists no images")
     manifest = DatasetManifest(entries=entries, root=path.parent, source_tag=source_tag)
-    missing = [str(p) for p in manifest.absolute_paths() if not p.exists()]
+    missing = [str(p) for p in manifest.absolute_paths() if not os.path.exists(p)]
     if missing:
         raise FileNotFoundError(f"{path}: missing image files: {', '.join(missing[:5])}")
     return manifest
@@ -465,10 +468,11 @@ def watermark_dataset(model, manifest, message, out_dir):
     Outputs mirror the input tree under ``out_dir`` (same relative paths)
     and the emitted manifest carries the ``watermarked`` source tag.
     Unreadable images are recorded and skipped; more than 10% failures
-    aborts. An output path that resolves to a listed input image is an
-    error, raised before anything is encoded or written. The reported PSNR
-    compares each original with its 8-bit quantized watermarked copy, i.e.
-    with what lands on disk.
+    aborts. An output path that resolves outside ``out_dir``, or to a
+    listed input image, is an error naming the entry, raised before
+    anything is encoded or written. The reported PSNR compares each
+    original with its 8-bit quantized watermarked copy, i.e. with what
+    lands on disk.
 
     Images are spread over the usable cores (:func:`tensorgrad.map_ordered`),
     each loaded, encoded, written and scored by one thread. The written
@@ -478,9 +482,13 @@ def watermark_dataset(model, manifest, message, out_dir):
     """
     msg = msgcodec.validate_message(message, model.config.message_length)
     out_dir = Path(out_dir)
+    root = out_dir.resolve()
     sources = {path.resolve() for path in manifest.absolute_paths()}
     for rel, _ in manifest.entries:
-        if (out_dir / rel).resolve() in sources:
+        dest = (out_dir / rel).resolve()
+        if root not in dest.parents:
+            raise ValueError(f"watermark_dataset: manifest entry {rel!r} would be written to {dest}, outside {out_dir}")
+        if dest in sources:
             raise ValueError(f"watermark_dataset: output {out_dir / rel} would overwrite a listed input image")
     out_dir.mkdir(parents=True, exist_ok=True)
     channels = model.config.image_channels

@@ -29,15 +29,21 @@ Conventions
   ops passes gradient on the closed interval [0, 1].
 * Parallelism: one module-level thread pool, used only by
   :func:`map_ordered`, which spreads independent items over the calling
-  thread and the pool and returns results in input order. ``conv2d`` is a
-  map over contiguous sample ranges, one per usable core: each sample's
-  GEMM is the same single BLAS call it is serially, and every patch buffer
-  and output array is allocated by the calling thread before the ranges
-  start; workers only write into them. A map inside a map runs serially
-  on its own thread, so every ``conv2d`` inside a map (one image each, in
-  the pipeline) runs inline: a participant that waited on the pool could
-  wait behind the participants themselves. No GEMM is ever split across
-  threads.
+  thread and the pool and returns results in input order. ``conv2d``'s
+  GEMMs are a map over contiguous sample ranges, one per usable core: each
+  sample's GEMM is the same single BLAS call it is serially. The
+  per-channel work of the Conv-BN-ReLU block (``conv2d``'s bias add and
+  bias-gradient sum, ``batchnorm2d``'s statistics, normalization and vjp,
+  the block's ReLU and its vjp's mask product) is a map over contiguous
+  channel ranges, ``min(N, C // 2, usable cores)`` of them, so that each
+  range holds at least 2 channels: numpy reduces a one-channel slice over
+  (N, H, W) in another order, and its last bits can differ. A batch of one
+  runs both kinds of work on the calling thread. Every buffer and output
+  array is allocated by the calling thread before the ranges start;
+  workers only write into them. A map inside a map runs serially on its
+  own thread, so every op inside a map (one image each, in the pipeline)
+  runs inline: a participant that waited on the pool could wait behind
+  the participants themselves. No GEMM is ever split across threads.
 * Results repeat bit for bit on any number of usable cores, given one BLAS
   thread: importing :mod:`facemark` before numpy pins BLAS to one thread.
   At more BLAS threads the last digits can change, because BLAS then
@@ -220,18 +226,42 @@ def map_ordered(fn, items):
     return results
 
 
+def _over_ranges(count, parts, work):
+    """Run ``work(r, lo, hi)`` for ``parts`` contiguous ranges ``r`` that cover ``0..count-1`` in order.
+
+    The ranges differ in size by at most one and run through
+    :func:`map_ordered`. No parts means no call to ``work``.
+    """
+    map_ordered(lambda r: work(r, count * r // parts, count * (r + 1) // parts), range(parts))
+
+
 def _over_samples(n, buf_shape, work):
     """Run ``work(lo, hi, buf)`` over contiguous ranges that cover samples ``0..n-1``.
 
     There is one range per usable core, at most one per sample, and the
     ranges are in sample order: each sample's arithmetic is the same
     whichever range runs it. Each range gets its own zeroed ``buf_shape``
-    buffer, allocated here on the calling thread, and the ranges run
-    through :func:`map_ordered`. No samples means no call to ``work``.
+    buffer, allocated here on the calling thread. No samples means no call
+    to ``work``.
     """
-    ranges = min(n, _usable_cores())
-    bufs = [np.zeros(buf_shape) for _ in range(ranges)]
-    map_ordered(lambda r: work(n * r // ranges, n * (r + 1) // ranges, bufs[r]), range(ranges))
+    parts = min(n, _usable_cores())
+    bufs = [np.zeros(buf_shape) for _ in range(parts)]
+    _over_ranges(n, parts, lambda r, lo, hi: work(lo, hi, bufs[r]))
+
+
+def _over_channels(shape, work):
+    """Run ``work(lo, hi)`` over contiguous ranges that cover channels ``0..C-1`` of an (N, C, ...) array.
+
+    There are ``min(N, C // 2, usable cores)`` ranges, and always at least
+    one, so every range holds at least 2 channels: numpy reduces a
+    one-channel slice over (N, H, W) in another order than the same
+    channel of a wider slice, while slices of 2 or more channels reduce
+    each channel as the whole array does. A batch of one stays on the
+    calling thread. ``work`` reads its channels and writes only into
+    arrays the caller allocated.
+    """
+    n, c = shape[:2]
+    _over_ranges(c, max(1, min(n, c // 2, _usable_cores())), lambda r, lo, hi: work(lo, hi))
 
 
 def _sample_patches(x, lo, hi, buf, pad):
@@ -288,8 +318,9 @@ def conv2d(x, weight, bias, pad=0):
     with the flipped kernel. The weight gradient writes each sample's
     product into its own row of an (N, C_out, C_in, k, k) array, then adds
     the rows in sample order from row 0. Forward, input gradient and weight
-    gradient each spread their samples over the usable cores (see the
-    module's parallelism convention), with the same bits as a serial run.
+    gradient each spread their samples over the usable cores, and the bias
+    add and bias gradient their output channels (see the module's
+    parallelism convention), with the same bits as a serial run.
     """
     x, weight, bias = _as_node(x), _as_node(weight), _as_node(bias)
     if x.value.ndim != 4:
@@ -314,12 +345,14 @@ def conv2d(x, weight, bias, pad=0):
 
     w_mat = weight.value.reshape(c_out, c_in * k * k)
     out = _correlate(x.value, w_mat, k, pad, out_h, out_w)
-    out += bias.value[None, :, None, None]
+    b = bias.value[:, None, None]
+    _over_channels(out.shape, lambda lo, hi: np.add(out[:, lo:hi], b[lo:hi], out=out[:, lo:hi]))
 
     def vjp(g):
         gx = gw = gb = None
         if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
+            gb = np.empty(c_out)
+            _over_channels(g.shape, lambda lo, hi: np.sum(g[:, lo:hi], axis=(0, 2, 3), out=gb[lo:hi]))
         if weight.requires_grad:
             gf = g.reshape(n, c_out, out_h * out_w)
             products = np.empty((n, *weight.value.shape))
@@ -382,6 +415,12 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None):
     running statistics. The same biased-variance convention is used for
     normalization and for the stored running variance; 1e-5 is added to
     the variance before its square root.
+
+    Forward and vjp each run as one map over channel ranges (see the
+    module's parallelism convention): a range computes its channels'
+    statistics, ``xhat`` and output, or their gradient sums and input
+    gradient, into arrays allocated before the map, with the bits of a
+    serial run.
     """
     x, gamma, beta = _as_node(x), _as_node(gamma), _as_node(beta)
     if x.value.ndim != 4:
@@ -394,25 +433,32 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None):
         )
     if mode not in ("train", "infer"):
         raise ValueError(f"batchnorm2d: mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "infer" and (running is None or not running.populated):
+        raise ValueError("batchnorm2d: infer mode requires populated running statistics")
 
     axes = (0, 2, 3)
-    xhat = np.empty(x.value.shape)
-    if mode == "train":
-        mu = x.value.mean(axis=axes)
-        var = np.square(x.value, out=xhat).mean(axis=axes) - np.square(mu)
-        np.maximum(var, 0.0, out=var)  # guard rounding on constant channels
-        if running is not None:
-            running.update(mu, var)
-    else:
-        if running is None or not running.populated:
-            raise ValueError("batchnorm2d: infer mode requires populated running statistics")
-        mu, var = running.mean, running.var
+    v = x.value
+    xhat = np.empty(v.shape)
+    out = np.empty(v.shape)
+    mu, var = (np.empty(c), np.empty(c)) if mode == "train" else (running.mean, running.var)
+    inv_std = np.empty(c)
+    gamma_c, beta_c = gamma.value[:, None, None], beta.value[:, None, None]
 
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-    np.subtract(x.value, mu[None, :, None, None], out=xhat)
-    xhat *= inv_std[None, :, None, None]
-    out = gamma.value[None, :, None, None] * xhat
-    out += beta.value[None, :, None, None]
+    def normalize(lo, hi):
+        xs, xh = v[:, lo:hi], xhat[:, lo:hi]
+        if mode == "train":
+            np.mean(xs, axis=axes, out=mu[lo:hi])
+            var[lo:hi] = np.square(xs, out=xh).mean(axis=axes) - np.square(mu[lo:hi])
+            np.maximum(var[lo:hi], 0.0, out=var[lo:hi])  # guard rounding on constant channels
+        inv_std[lo:hi] = 1.0 / np.sqrt(var[lo:hi] + _BN_EPS)
+        np.subtract(xs, mu[lo:hi, None, None], out=xh)
+        xh *= inv_std[lo:hi, None, None]
+        np.multiply(gamma_c[lo:hi], xh, out=out[:, lo:hi])
+        out[:, lo:hi] += beta_c[lo:hi]
+
+    _over_channels(v.shape, normalize)
+    if mode == "train" and running is not None:
+        running.update(mu, var)
     m = n * h * w
     x_grad = x.requires_grad  # the closure keeps no reference to the input node
 
@@ -420,26 +466,33 @@ def batchnorm2d(x, gamma, beta, mode="train", running=None):
         # ``g`` may be shared with another branch (``add`` hands one array to
         # both parents), so it is only read. Means are sums divided by m,
         # which is how ``np.mean`` computes them.
-        gx = ggamma = gbeta = None
-        g_sum = g.sum(axis=axes)
-        gxh = gxh_sum = None
+        g_sum = np.empty(c)
+        gxh = gxh_sum = gx = None
         if gamma.requires_grad or (x_grad and mode == "train"):
-            gxh = g * xhat
-            gxh_sum = gxh.sum(axis=axes)
-        if beta.requires_grad:
-            gbeta = g_sum
-        if gamma.requires_grad:
-            ggamma = gxh_sum
+            gxh, gxh_sum = np.empty(g.shape), np.empty(c)
         if x_grad:
-            scale_c = (gamma.value * inv_std)[None, :, None, None]
+            gx = np.empty(g.shape)
+            scale_c = (gamma.value * inv_std)[:, None, None]
+
+        def backprop(lo, hi):
+            gs = g[:, lo:hi]
+            np.sum(gs, axis=axes, out=g_sum[lo:hi])
+            if gxh is not None:
+                gh = np.multiply(gs, xhat[:, lo:hi], out=gxh[:, lo:hi])
+                np.sum(gh, axis=axes, out=gxh_sum[lo:hi])
+            if gx is None:
+                return
+            gxs = gx[:, lo:hi]
             if mode == "train":
-                centered = np.subtract(g, (g_sum / m)[None, :, None, None], out=gxh)
-                gx = xhat * (gxh_sum / m)[None, :, None, None]
-                np.subtract(centered, gx, out=gx)
-                np.multiply(scale_c, gx, out=gx)
+                centered = np.subtract(gs, (g_sum[lo:hi] / m)[:, None, None], out=gh)
+                np.multiply(xhat[:, lo:hi], (gxh_sum[lo:hi] / m)[:, None, None], out=gxs)
+                np.subtract(centered, gxs, out=gxs)
+                np.multiply(scale_c[lo:hi], gxs, out=gxs)
             else:
-                gx = scale_c * g
-        return gx, ggamma, gbeta
+                np.multiply(scale_c[lo:hi], gs, out=gxs)
+
+        _over_channels(g.shape, backprop)
+        return gx, gxh_sum if gamma.requires_grad else None, g_sum if beta.requires_grad else None
 
     return _result(out, "batchnorm2d", (x, gamma, beta), vjp)
 
@@ -455,7 +508,10 @@ def conv_bn_relu(x, weight, bias, gamma, beta, mode="train", running=None):
     to an unfused ``max(0, batchnorm2d(conv2d(...)))`` with subgradient 0 at
     0. It calls the two ops through this module's names and keeps only their
     vjps, so neither the conv output nor the pre-ReLU output outlives the
-    forward pass; the ReLU runs in place.
+    forward pass. The ReLU runs in place, and its vjp writes the mask, then
+    the masked gradient, into one array allocated before the map; both run
+    over channel ranges like ``batchnorm2d``. The masked gradient is
+    released before the conv vjp runs.
     """
     x, weight, bias, gamma, beta = (_as_node(p) for p in (x, weight, bias, gamma, beta))
     h = conv2d(x, weight, bias, pad=1)
@@ -463,10 +519,18 @@ def conv_bn_relu(x, weight, bias, gamma, beta, mode="train", running=None):
     bn = batchnorm2d(h, gamma, beta, mode=mode, running=running)
     bn_vjp, out = bn._vjp, bn.value
     del h, bn
-    np.maximum(out, 0.0, out=out)
+    _over_channels(out.shape, lambda lo, hi: np.maximum(out[:, lo:hi], 0.0, out=out[:, lo:hi]))
 
     def vjp(g):
-        gh, ggamma, gbeta = bn_vjp(g * (out > 0.0))
+        masked = np.empty(out.shape)
+
+        def mask_grad(lo, hi):  # the mask as 1.0/0.0, then g times it: the bits of g * (out > 0)
+            mg = np.greater(out[:, lo:hi], 0.0, out=masked[:, lo:hi])
+            np.multiply(g[:, lo:hi], mg, out=mg)
+
+        _over_channels(out.shape, mask_grad)
+        gh, ggamma, gbeta = bn_vjp(masked)
+        del masked
         gx, gw, gb = (None, None, None) if conv_vjp is None else conv_vjp(gh)
         return gx, gw, gb, ggamma, gbeta
 

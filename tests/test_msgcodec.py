@@ -1,9 +1,12 @@
 """Message representation, signatures, bit decisions, accuracy scoring."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facemark import msgcodec as mc
 
@@ -61,6 +64,43 @@ class TestDefaultSignature:
         path.write_text("2 3\n010\n01\n")
         with pytest.raises(ValueError, match="row"):
             mc.load_signature(path)
+
+    @pytest.mark.parametrize("head", ["0 4", "-1 4", "4 0", "2 -3", "2 x", "2", "2 3 4"])
+    def test_header_below_one_or_malformed_is_named(self, tmp_path, head):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{head}\n0101\n", encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(f"first line must be 'H W' with H, W >= 1, got {head!r}")):
+            mc.load_signature(path)
+
+
+@pytest.fixture(scope="module")
+def signature_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("signatures") / "sig.txt"
+
+
+signature_lines = st.one_of(
+    st.tuples(st.sampled_from(["0", "1", "2", "3", "-1", "+2", "02", "x", ""]), st.sampled_from([" ", "\t", "  "]),
+              st.sampled_from(["0", "1", "2", "4", "-1", "1.5", ""])).map("".join),
+    st.text(alphabet="01 \tx", max_size=6),
+    st.text(max_size=6),
+)
+
+
+class TestLoadSignatureFuzz:
+    """Whatever the text, ``load_signature`` returns an H x W bitmap of 0/1 with H, W >= 1, or raises ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(signature_lines, max_size=5), tail=st.binary(max_size=3))
+    def test_reads_or_raises(self, signature_path, lines, tail):
+        signature_path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + tail)
+        try:
+            bitmap = mc.load_signature(signature_path)
+        except ValueError:
+            return
+        assert bitmap.ndim == 2 and bitmap.dtype == np.uint8 and min(bitmap.shape) >= 1
+        assert set(np.unique(bitmap)) <= {0, 1}
+        head = signature_path.read_text(encoding="ascii").split()[:2]
+        assert bitmap.shape == (int(head[0]), int(head[1]))
 
 
 class TestLogitsToMessage:

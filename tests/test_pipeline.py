@@ -1,8 +1,9 @@
 """Config keys, training reruns with byte-identical outputs whatever the BLAS thread
 variables or the usable core count, `train-wm` checkpoints, training memory that
 stays at one step's graph, sweeps and dataset watermarking that give the serial
-outputs on any worker count, manifests that list an image twice, and a
-`watermark-dataset` output directory that would overwrite its inputs."""
+outputs on any worker count, manifests that list an image twice or an empty
+path, a `watermark-dataset` output directory that would overwrite its inputs
+or an entry that would land outside it, and a manifest-reader fuzzer."""
 
 import os
 import re
@@ -13,6 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facemark import bioeval, pipeline
 
@@ -480,3 +483,74 @@ def test_watermark_dataset_cli_refuses_to_overwrite_its_inputs(tmp_path, capsys,
     assert err.startswith("error: ") and "img0.ppm would overwrite a listed input image" in err
     assert "Traceback" not in err
     assert digests() == before and sorted(tmp_path.rglob("*.*")) == inputs
+
+
+@pytest.mark.parametrize("line", [",id0", " ,id0", ".,id0", "sub0/..,id0"])
+def test_load_manifest_rejects_a_path_that_names_no_file(tmp_path, line):
+    from _synth import texture_images
+
+    manifest = _write_images(tmp_path, texture_images(2, 16, seed=1))
+    manifest.write_text(f"sub0/img0.ppm,a\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"manifest.csv:2: image path {line.partition(',')[0].strip()!r} names no file")):
+        pipeline.load_manifest(manifest)
+
+
+@pytest.mark.parametrize("entry", ["../side/a.ppm", "sub0/../../side/a.ppm", "ABSOLUTE"])
+def test_watermark_dataset_cli_refuses_an_entry_outside_its_output_dir(tmp_path, capsys, entry):
+    from _synth import texture_images
+    from facemark import cli, imageops
+
+    (tmp_path / "side").mkdir()
+    imageops.save_ppm(texture_images(1, 16, seed=2)[0], tmp_path / "side" / "a.ppm")
+    manifest = _write_images(tmp_path / "in", texture_images(2, 16, seed=1))
+    entry = str(tmp_path / "side" / "a.ppm") if entry == "ABSOLUTE" else entry
+    manifest.write_text(f"sub0/img0.ppm,a\n{entry},b\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["watermark-dataset", "--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110",
+            str(manifest), str(tmp_path / "out" / "marked")]
+    assert cli.cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"manifest entry {entry!r}" in err and "outside" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written, not even the output directory
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory holding a.ppm and sub/b.ppm; load_manifest only checks that they exist."""
+    root = tmp_path_factory.mktemp("manifests")
+    (root / "sub").mkdir()
+    for rel in ("a.ppm", "sub/b.ppm"):
+        (root / rel).write_bytes(b"P6 1 1 255 xyz")
+    return root
+
+
+manifest_paths = st.one_of(
+    st.sampled_from(["a.ppm", "./a.ppm", "sub/b.ppm", "sub/../a.ppm", "", " ", ".", "sub/..", "missing.ppm", "../a.ppm", "a.ppm\0"]),
+    st.text(max_size=8),
+)
+manifest_lines = st.one_of(
+    st.tuples(manifest_paths, st.sampled_from([",", ", ", ";", ""]), st.sampled_from(["id0", "id1", "", " "]) | st.text(max_size=4)).map("".join),
+    st.sampled_from(["# source_tag: watermarked", "#", "", "  "]),
+    st.text(max_size=12),
+)
+
+
+class TestLoadManifestFuzz:
+    """Whatever the text, ``load_manifest`` returns a valid manifest or raises ValueError or FileNotFoundError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(manifest_lines, max_size=6), tail=st.binary(max_size=3))
+    def test_reads_or_raises(self, manifest_dir, lines, tail):
+        path = manifest_dir / "fuzz.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + tail)
+        try:
+            manifest = pipeline.load_manifest(path)
+        except (ValueError, FileNotFoundError):
+            return
+        assert manifest.entries and manifest.root == manifest_dir
+        keys = [os.path.normpath(rel) for rel, _ in manifest.entries]
+        assert len(set(keys)) == len(keys) and "." not in keys
+        for rel, identity in manifest.entries:
+            assert rel == rel.strip() and identity == identity.strip() and rel and identity
+            assert (manifest_dir / rel).is_file()

@@ -281,7 +281,9 @@ class TestConv2dOverSamples:
         pool = conv_workers(3)
         x, w, b, g = _conv_case(5, 3, 4, 6, seed=30)
         _conv_with_grads(x, w, b, g, pad=1)
-        assert pool.submitted == 3 * 2  # forward, weight and input gradients: two ranges each beyond the caller's
+        # forward, weight and input gradients: two sample ranges each beyond the
+        # caller's; the bias add and the bias gradient: one 2-channel range each
+        assert pool.submitted == 3 * 2 + 2
 
     def test_one_sample_never_reaches_the_pool(self, conv_workers):
         pool = conv_workers(3)
@@ -736,6 +738,88 @@ class TestConvBnReluMatchesComposition:
         nodes = [tg.parameter(v) for v in self._values(65)]
         out = tg.conv_bn_relu(*nodes)
         assert out.requires_grad and [ref() for ref in conv_outputs] == [None]
+
+
+def _bn_run(shape, mode, seed):
+    """One batchnorm2d forward and vjp: output, the three gradients and the running statistics."""
+    x, gamma, beta, g = _bn_case(shape, seed, constant_channel=mode == "train")
+    rng = np.random.default_rng(seed + 1)
+    running = tg.RunningStats()
+    if mode == "infer":
+        running = tg.RunningStats(mean=rng.standard_normal(shape[1]), var=rng.random(shape[1]) + 0.1)
+    node = tg.batchnorm2d(tg.parameter(x), tg.parameter(gamma), tg.parameter(beta), mode=mode, running=running)
+    return [node.value, *node._vjp(g), running.mean, running.var]
+
+
+def _block_run(shape, mode, seed):
+    """One conv_bn_relu forward and vjp with as many output channels as input channels:
+    output, the five gradients and the running statistics."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape), *_block_values(rng, shape[1], shape[1])]
+    running = tg.RunningStats()
+    if mode == "infer":
+        running = tg.RunningStats(mean=rng.standard_normal(shape[1]), var=rng.random(shape[1]) + 0.1)
+    node = tg.conv_bn_relu(*[tg.parameter(v) for v in values], mode=mode, running=running)
+    g = rng.standard_normal(shape)
+    g[node.value == 0.0] *= -1.0  # negative gradients under the mask give -0.0 there
+    return [node.value, *node._vjp(g), running.mean, running.var]
+
+
+class TestChannelRanges:
+    """Batchnorm, the block's ReLU and conv2d's bias spread over channel ranges give the serial run's bits."""
+
+    # (2, 3, 5, 4) differs in its last bits when split into one-channel ranges;
+    # with at least 2 channels per range it runs as one range.
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (3, 5, 7, 9), (16, 64, 32, 32)], ids=_shape_id)
+    @pytest.mark.parametrize("run", [_bn_run, _block_run], ids=["batchnorm2d", "conv_bn_relu"])
+    def test_every_worker_count_gives_the_serial_bits(self, conv_workers, run, shape, mode):
+        conv_workers(1)
+        serial = run(shape, mode, seed=shape[1])
+        for workers in (2, 3, 4):
+            conv_workers(workers)
+            for i, (want, got) in enumerate(zip(serial, run(shape, mode, seed=shape[1]), strict=True)):
+                assert np.array_equal(got, want), (i, workers)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (i, workers)
+
+    @pytest.mark.parametrize("shape", [(1, 64, 8, 8), (4, 3, 8, 8)], ids=["batch-of-one", "three-channels"])
+    def test_a_batch_of_one_or_three_channels_stays_on_the_caller(self, conv_workers, shape):
+        pool = conv_workers(3)
+        _bn_run(shape, "train", seed=70)
+        _bn_run(shape, "infer", seed=71)
+        if shape[0] == 1:
+            _block_run(shape, "train", seed=72)
+        assert pool.submitted == 0
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_each_map_submits_all_ranges_but_the_callers(self, conv_workers, workers):
+        pool = conv_workers(workers)
+        _bn_run((16, 64, 32, 32), "train", seed=73)
+        assert pool.submitted == 2 * (workers - 1)  # forward and vjp
+        before = pool.submitted
+        _block_run((16, 64, 32, 32), "train", seed=74)
+        # forward: conv samples, bias add, batchnorm, relu; vjp: mask product,
+        # batchnorm, bias gradient, weight-gradient and input-gradient samples
+        assert pool.submitted - before == 9 * (workers - 1)
+
+    def test_block_backward_releases_the_masked_gradient_before_the_conv_vjp(self, conv_workers):
+        # Measured at 2 workers: the forward holds 16.8 MB and the peak during
+        # backward is 48.3 MB, as serially. Had the masked gradient (8.4 MB)
+        # lived through the conv vjp, the peak would be 57.8 MB.
+        conv_workers(2)
+        rng = np.random.default_rng(75)
+        shape = (16, 64, 32, 32)
+        nodes = [tg.parameter(v) for v in (rng.standard_normal(shape), *_block_values(rng, 64, 64))]
+        g = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            out = tg.conv_bn_relu(*nodes)
+            grads = out._vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(gr is not None for gr in grads)
+        assert peak < 53e6
 
 
 class TestElementwise:
