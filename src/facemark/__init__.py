@@ -4,8 +4,8 @@ Modules by concern:
 
 * :mod:`facemark.tensorgrad` — dense tensors with reverse-mode autodiff,
   the network layers and Adam;
-* :mod:`facemark.containers` — the tensor container and the one model
-  record that the WMF1 and EMB1 files save and load;
+* :mod:`facemark.containers` — the file formats: the tensor container and
+  model record of WMF1/EMB1, and the line rule of every plain-text file;
 * :mod:`facemark.msgcodec` — watermark messages and bitmap signatures;
 * :mod:`facemark.imageops` — PPM/PGM I/O and the transformation suite
   (crop, resize, brightness, contrast, JPEG quantization round trip);

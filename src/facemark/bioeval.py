@@ -61,7 +61,7 @@ class Embedding:
         self.vector = np.asarray(self.vector, dtype=np.float32)
         if self.vector.ndim != 1:
             raise ValueError(f"embedding vector must be 1-D, got shape {self.vector.shape}")
-        if not np.all(np.isfinite(self.vector)):
+        if not np.isfinite(self.vector).all():
             raise ValueError("embedding vector contains NaN or Inf")
         if not self.identity:
             raise ValueError("embedding is missing its identity label")
@@ -598,28 +598,25 @@ def embed_images(model, images, identities, source="original"):
 
 def save_embeddings(embeddings, path):
     """One record per line: ``identity,source,v1 v2 ... vd`` (9 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for emb in embeddings:
-            if "," in emb.identity or "," in emb.source:
-                raise ValueError(f"identity/source must not contain commas: {emb.identity!r}/{emb.source!r}")
-            values = " ".join(f"{float(v):.9g}" for v in emb.vector)
-            fh.write(f"{emb.identity},{emb.source},{values}\n")
+    for emb in embeddings:
+        if "," in emb.identity or "," in emb.source:
+            raise ValueError(f"identity/source must not contain commas: {emb.identity!r}/{emb.source!r}")
+    records = (f"{e.identity},{e.source}," + " ".join(f"{float(v):.9g}" for v in e.vector) for e in embeddings)
+    containers.write_lines(path, records)
 
 
 def load_embeddings(path):
     """Inverse of :func:`save_embeddings`."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{ln}: expected 'identity,source,values', got {line!r}")
-            identity, source, values = parts
-            vector = np.array([float(v) for v in values.split()], dtype=np.float32)
-            out.append(Embedding(vector=vector, identity=identity, source=source))
+    for ln, line in containers.read_lines(path):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{ln}: expected 'identity,source,values', got {line!r}")
+        identity, source, values = parts
+        try:
+            out.append(Embedding(np.array([float(v) for v in values.split()], dtype=np.float32), identity, source))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from exc
     if not out:
         raise ValueError(f"{path}: no embedding records found")
     dims = {e.vector.shape[0] for e in out}

@@ -26,7 +26,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bioeval, imageops, msgcodec, pipeline
+from . import bioeval, containers, imageops, msgcodec, pipeline
 from . import watermarknet as wm
 
 
@@ -43,7 +43,7 @@ def _build_parser():
     parser = _Parser(prog="facemark", description="Invisible watermarking and verification toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("train-wm", parents=[], help="train the watermark encoder/decoder")
+    p = sub.add_parser("train-wm", help="train the watermark encoder/decoder")
     p.add_argument("--config", required=True, help="key=value training configuration")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--history", default=None, help="write per-step metrics CSV here")
@@ -63,8 +63,7 @@ def _build_parser():
 
     p = sub.add_parser("embed", help="embed a message into one image")
     p.add_argument("--model", required=True)
-    p.add_argument("--message", default=None, help="bit string, e.g. 0110...")
-    p.add_argument("--signature", default=None, help="signature bitmap file")
+    _message_flags(p)
     p.add_argument("in_image")
     p.add_argument("out_image")
 
@@ -74,8 +73,7 @@ def _build_parser():
 
     p = sub.add_parser("watermark-dataset", help="watermark every image in a manifest")
     p.add_argument("--model", required=True)
-    p.add_argument("--message", default=None)
-    p.add_argument("--signature", default=None)
+    _message_flags(p)
     p.add_argument("manifest")
     p.add_argument("out_dir")
 
@@ -83,19 +81,26 @@ def _build_parser():
     p.add_argument("--config", default=None, help="sweep grids and repetitions")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model", required=True)
-    p.add_argument("--message", default=None)
-    p.add_argument("--signature", default=None)
+    _message_flags(p)
     p.add_argument("manifest")
     p.add_argument("out_csv")
 
     p = sub.add_parser("verify", help="genuine/imposter verification reports")
     p.add_argument("--config", default=None, help="far targets, modes, sampling")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--embeddings", default=None, help="embedding file (identity,source,values)")
-    p.add_argument("--embedder", default=None, help="EMB1 embedder to apply to manifests")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embeddings", help="embedding file (identity,source,values)")
+    source.add_argument("--embedder", help="EMB1 embedder to apply to manifests")
     p.add_argument("paths", nargs="+", help="manifests (embedder mode), then the output report path")
 
     return parser
+
+
+def _message_flags(parser):
+    """The ``--message``/``--signature`` pair, of which a command takes exactly one."""
+    message = parser.add_mutually_exclusive_group(required=True)
+    message.add_argument("--message", help="bit string, e.g. 0110...")
+    message.add_argument("--signature", help="signature bitmap file")
 
 
 def _config(cls, args):
@@ -110,8 +115,6 @@ def _config(cls, args):
 
 
 def _message_for_model(args, model):
-    if (args.message is None) == (args.signature is None):
-        raise UsageError("provide exactly one of --message or --signature")
     if args.message is not None:
         msg = msgcodec.parse_bits(args.message)
     else:
@@ -146,10 +149,7 @@ def _cmd_train_embedder(args):
     model, history = bioeval.train_embedder(images, identities, config)
     bioeval.save_embedder(model, args.out_model)
     if args.history:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss\n")
-            for i, loss in enumerate(history, 1):
-                fh.write(f"{i},{loss!r}\n")
+        containers.write_lines(args.history, ["epoch,loss", *(f"{i},{loss!r}" for i, loss in enumerate(history, 1))])
     if history:
         print(f"done: {len(history)} epochs, final loss {history[-1]:.4f}", file=sys.stderr)
     return 0
@@ -199,8 +199,6 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     options = _config(pipeline.VerifyOptions, args)
-    if (args.embeddings is None) == (args.embedder is None):
-        raise UsageError("provide exactly one of --embeddings or --embedder")
     if args.embeddings is not None:
         if len(args.paths) != 1:
             raise UsageError("with --embeddings, pass only the output report path")

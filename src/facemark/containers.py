@@ -1,6 +1,10 @@
-"""Length-prefixed binary tensor container used by the model file formats.
+"""File formats: the tensor container of the model files, and the line rule of text files.
 
-Layout (little-endian throughout):
+Plain-text files (configs, manifests, embeddings, signatures, CSVs, reports) are read
+by :func:`read_lines` and written by :func:`write_lines`, and by nothing else. A line
+ends at ``\\n``, ``\\r\\n`` or ``\\r``; an undecodable byte is a ValueError naming ``path:line``.
+
+The tensor container's layout (little-endian throughout):
 
 * 4 magic bytes identifying the format ("WMF1" for watermark models,
   "EMB1" for embedders);
@@ -30,7 +34,8 @@ from typing import Any, get_type_hints
 
 import numpy as np
 
-__all__ = ["Model", "write_container", "read_container", "build_config", "save_model", "load_model"]
+__all__ = ["Model", "write_container", "read_container", "build_config", "save_model", "load_model", "read_lines",
+           "write_lines"]
 
 
 @dataclass
@@ -170,3 +175,22 @@ def load_model(path, magic, config_cls, new_model):
         if (running.mean is None) != (running.var is None):
             raise ValueError(f"{path}: running statistics for {slot!r} are incomplete")
     return model
+
+
+def read_lines(path, encoding="utf-8"):
+    """Yield ``(line number, stripped text)`` for each non-blank line; an undecodable byte raises ``path:line: ...``."""
+    with open(path, "rb") as fh:
+        # A binary line ends at \n; splitlines() of bytes ends one at \r\n or \r as well, and nowhere else.
+        for ln, raw in enumerate((part for chunk in fh for part in chunk.splitlines()), 1):
+            try:
+                line = raw.decode(encoding).strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from exc
+            if line:
+                yield ln, line
+
+
+def write_lines(path, lines):
+    """Write ``lines`` as UTF-8 text, each followed by ``\\n``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in lines)

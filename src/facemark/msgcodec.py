@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import containers
+
 __all__ = [
     "bitmap_to_message",
     "logits_to_message",
@@ -63,23 +65,20 @@ def bit_accuracy(a, b):
 
 def load_signature(path):
     """Read a bitmap from text: first line "H W" (each at least 1), then H rows of 0/1 chars."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = list(containers.read_lines(path, "ascii"))
     if not lines:
         raise ValueError(f"{path}: empty signature file")
-    head = lines[0].split()
-    if len(head) != 2 or not all(part.isdigit() and int(part) >= 1 for part in head):
-        raise ValueError(f"{path}: first line must be 'H W' with H, W >= 1, got {lines[0]!r}")
-    h, w = int(head[0]), int(head[1])
-    if len(lines) - 1 != h:
-        raise ValueError(f"{path}: expected {h} bitmap rows, found {len(lines) - 1}")
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        row = ln.strip()
+    (head_ln, head), *body = lines
+    dims = head.split()
+    if len(dims) != 2 or not all(part.isdigit() and int(part) >= 1 for part in dims):
+        raise ValueError(f"{path}:{head_ln}: first line must be 'H W' with H, W >= 1, got {head!r}")
+    h, w = map(int, dims)
+    if len(body) != h:
+        raise ValueError(f"{path}: expected {h} bitmap rows, found {len(body)}")
+    for i, (ln, row) in enumerate(body):
         if len(row) != w or set(row) - {"0", "1"}:
-            raise ValueError(f"{path}: row {i} must be {w} chars of 0/1, got {row!r}")
-        rows.append([int(c) for c in row])
-    return np.array(rows, dtype=np.uint8)
+            raise ValueError(f"{path}:{ln}: row {i} must be {w} chars of 0/1, got {row!r}")
+    return np.array([[int(c) for c in row] for _, row in body], dtype=np.uint8)
 
 
 def parse_bits(text):

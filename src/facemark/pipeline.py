@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import bioeval, imageops, msgcodec
+from . import bioeval, containers, imageops, msgcodec
 from . import tensorgrad as tg
 from . import watermarknet as wm
 
@@ -125,21 +125,18 @@ class TrainConfig:
 def read_config(path):
     """Parse a plain-text key=value file; '#' lines are comments."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ValueError(f"{path}:{ln}: empty key")
-            if key in mapping:
-                raise ValueError(f"{path}:{ln}: duplicate key {key!r}")
-            mapping[key] = value
+    for ln, line in containers.read_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if not key:
+            raise ValueError(f"{path}:{ln}: empty key")
+        if key in mapping:
+            raise ValueError(f"{path}:{ln}: duplicate key {key!r}")
+        mapping[key] = value.strip()
     return mapping
 
 
@@ -287,27 +284,23 @@ def load_manifest(path):
     entries = []
     first_line = {}
     source_tag = "original"
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("source_tag:"):
-                    source_tag = body.partition(":")[2].strip()
-                continue
-            rel, sep, identity = line.partition(",")
-            if not sep or not identity.strip():
-                raise ValueError(f"{path}:{ln}: expected 'path,identity', got {line!r}")
-            rel = rel.strip()
-            key = os.path.normpath(rel)
-            if key == ".":
-                raise ValueError(f"{path}:{ln}: image path {rel!r} names no file, got {line!r}")
-            if key in first_line:
-                raise ValueError(f"{path}:{ln}: image {rel!r} is already listed on line {first_line[key]}")
-            first_line[key] = ln
-            entries.append((rel, identity.strip()))
+    for ln, line in containers.read_lines(path):
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.startswith("source_tag:"):
+                source_tag = body.partition(":")[2].strip()
+            continue
+        rel, sep, identity = line.partition(",")
+        if not sep or not identity.strip():
+            raise ValueError(f"{path}:{ln}: expected 'path,identity', got {line!r}")
+        rel = rel.strip()
+        key = os.path.normpath(rel)
+        if key == ".":
+            raise ValueError(f"{path}:{ln}: image path {rel!r} names no file, got {line!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{ln}: image {rel!r} is already listed on line {first_line[key]}")
+        first_line[key] = ln
+        entries.append((rel, identity.strip()))
     if not entries:
         raise ValueError(f"{path}: manifest lists no images")
     manifest = DatasetManifest(entries=entries, root=path.parent, source_tag=source_tag)
@@ -319,10 +312,8 @@ def load_manifest(path):
 
 def save_manifest(manifest, path):
     """Write a manifest CSV next to its images (paths stay relative)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source_tag: {manifest.source_tag}\n")
-        for rel, identity in manifest.entries:
-            fh.write(f"{rel},{identity}\n")
+    entries = (f"{rel},{identity}" for rel, identity in manifest.entries)
+    containers.write_lines(path, [f"# source_tag: {manifest.source_tag}", *entries])
 
 
 def load_manifest_images(manifest, channels=3):
@@ -440,13 +431,8 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
 
 def write_history(history, path):
     """Training metrics CSV with the fixed 5-column schema."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for row in history:
-            fh.write(
-                f"{row['step']},{row['recon_loss']!r},{row['decode_loss']!r},"
-                f"{row['bit_acc']!r},{row['psnr']!r}\n"
-            )
+    rows = (f"{r['step']},{r['recon_loss']!r},{r['decode_loss']!r},{r['bit_acc']!r},{r['psnr']!r}" for r in history)
+    containers.write_lines(path, [HISTORY_HEADER, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +596,11 @@ def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
 
 def write_sweep_csv(cells, path):
     """Sweep table CSV with the fixed header ``kind,factor,mean_bit_acc,std,n``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for cell in cells:
-            factor = repr(int(cell.factor)) if float(cell.factor).is_integer() and cell.kind == "jpeg" else repr(float(cell.factor))
-            fh.write(f"{cell.kind},{factor},{cell.mean_bit_acc!r},{cell.std!r},{cell.n}\n")
+    lines = [SWEEP_HEADER]
+    for cell in cells:
+        factor = repr(int(cell.factor)) if float(cell.factor).is_integer() and cell.kind == "jpeg" else repr(float(cell.factor))
+        lines.append(f"{cell.kind},{factor},{cell.mean_bit_acc!r},{cell.std!r},{cell.n}")
+    containers.write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -688,18 +674,14 @@ def run_verification(embeddings, options=VerifyOptions()):
 
 def write_reports(reports, path):
     """Structured text: one ``key: value`` block per report, blank-line separated."""
-    blocks = []
+    lines = []
     for report in reports:
-        lines = []
+        if lines:
+            lines.append("")
         for f in fields(report):
             value = getattr(report, f.name)
             if value is None or f.name in ("skipped_identities", "imposter_candidates"):  # stderr only
                 continue
             key = "eer" if f.name == "eer_value" else f.name
-            if isinstance(value, float):
-                lines.append(f"{key}: {value!r}")
-            else:
-                lines.append(f"{key}: {value}")
-        blocks.append("\n".join(lines))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+            lines.append(f"{key}: {value!r}" if isinstance(value, float) else f"{key}: {value}")
+    containers.write_lines(path, lines)

@@ -94,3 +94,21 @@ def test_a_manifest_that_does_not_exist_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error: ") and "missing.csv" in err
     assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("given", ["neither", "both"])
+@pytest.mark.parametrize("command", ["embed", "watermark-dataset", "sweep", "verify"])
+def test_neither_or_both_of_an_exclusive_flag_pair_exits_1(tmp_path, capsys, command, given):
+    pair = ("--embeddings", "--embedder") if command == "verify" else ("--message", "--signature")
+    flags = [] if given == "neither" else [pair[0], tmp_path / "a", pair[1], tmp_path / "b"]
+    model = ["--model", DATA / "golden_model.wmf"]
+    argv = {
+        "embed": [*model, *flags, tmp_path / "in.ppm", tmp_path / "out.ppm"],
+        "watermark-dataset": [*model, *flags, tmp_path / "manifest.csv", tmp_path / "out"],
+        "sweep": [*model, *flags, tmp_path / "manifest.csv", tmp_path / "out.csv"],
+        "verify": [*flags, tmp_path / "out.txt"],
+    }[command]
+    code, _, err = _dispatch(capsys, command, *argv)
+    assert code == 1
+    assert err.startswith("usage error: ") and pair[0] in err and pair[1] in err
+    assert not any(path.name.startswith("out") for path in tmp_path.iterdir())

@@ -87,7 +87,8 @@ signature_lines = st.one_of(
 
 
 class TestLoadSignatureFuzz:
-    """Whatever the text, ``load_signature`` returns an H x W bitmap of 0/1 with H, W >= 1, or raises ValueError."""
+    """Whatever the text, ``load_signature`` returns an H x W bitmap of 0/1 with H, W >= 1, or raises a ValueError
+    that names the file."""
 
     @settings(max_examples=400, deadline=None)
     @given(lines=st.lists(signature_lines, max_size=5), tail=st.binary(max_size=3))
@@ -95,7 +96,8 @@ class TestLoadSignatureFuzz:
         signature_path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + tail)
         try:
             bitmap = mc.load_signature(signature_path)
-        except ValueError:
+        except ValueError as exc:
+            assert str(exc).startswith(f"{signature_path}:")
             return
         assert bitmap.ndim == 2 and bitmap.dtype == np.uint8 and min(bitmap.shape) >= 1
         assert set(np.unique(bitmap)) <= {0, 1}

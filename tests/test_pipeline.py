@@ -175,7 +175,10 @@ def test_cli_config_values_rejected_before_images_are_read(tmp_path, capsys, com
     (tmp_path / "data.csv").write_text("missing.ppm,id0\n", encoding="utf-8")
     (tmp_path / "run.cfg").write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    extra = ["--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110"] if command == "sweep" else []
+    extra = {
+        "sweep": ["--model", str(ROOT / "tests" / "data" / "golden_model.wmf"), "--message", "01100110"],
+        "verify": ["--embedder", str(ROOT / "tests" / "data" / "golden_embedder.emb")],
+    }.get(command, [])
     argv = [command, "--config", str(tmp_path / "run.cfg"), *extra, str(tmp_path / "data.csv"), str(out)]
     assert cli.cli_dispatch(argv) == 1
     err = capsys.readouterr().err
@@ -537,7 +540,8 @@ manifest_lines = st.one_of(
 
 
 class TestLoadManifestFuzz:
-    """Whatever the text, ``load_manifest`` returns a valid manifest or raises ValueError or FileNotFoundError."""
+    """Whatever the text, ``load_manifest`` returns a valid manifest or raises a ValueError or FileNotFoundError
+    that names the file."""
 
     @settings(max_examples=400, deadline=None)
     @given(lines=st.lists(manifest_lines, max_size=6), tail=st.binary(max_size=3))
@@ -546,7 +550,8 @@ class TestLoadManifestFuzz:
         path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + tail)
         try:
             manifest = pipeline.load_manifest(path)
-        except (ValueError, FileNotFoundError):
+        except (ValueError, FileNotFoundError) as exc:
+            assert str(exc).startswith(f"{path}:")
             return
         assert manifest.entries and manifest.root == manifest_dir
         keys = [os.path.normpath(rel) for rel, _ in manifest.entries]
