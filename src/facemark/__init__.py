@@ -12,8 +12,8 @@ Modules by concern:
 * :mod:`facemark.watermarknet` — the watermark encoder/decoder networks;
 * :mod:`facemark.bioeval` — verification scoring, TAR@FAR, EER, Welch's
   t-test, and the toy embedder;
-* :mod:`facemark.pipeline` — training loops, dataset watermarking, sweeps,
-  verification reports, and file formats;
+* :mod:`facemark.pipeline` — training loops, dataset watermarking, sweeps
+  and verification reports;
 * :mod:`facemark.cli` — the ``facemark`` command-line tool.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
@@ -22,11 +22,11 @@ already there (child processes inherit it). BLAS reads them once, when
 numpy first loads, so the pin applies only when facemark is imported
 before numpy. The package spreads work over the usable cores itself,
 through one ordered map on one thread pool (``tensorgrad.map_ordered``):
-the sample ranges of each ``conv2d`` batch, and the images of a sweep, a
-dataset watermarking run or an untrained embedder. With BLAS at one
-thread, results are bit-identical whatever the environment or the core
-count, and the pool's threads do not compete with BLAS threads for the
-same cores.
+the sample ranges of each ``conv2d`` batch, the channel ranges of each
+Conv-BN-ReLU block's per-channel work, and the images of a sweep or a
+dataset watermarking run. With BLAS at one thread, results are
+bit-identical whatever the environment or the core count, and the pool's
+threads do not compete with BLAS threads for the same cores.
 """
 
 import os as _os

@@ -405,7 +405,12 @@ def student_t_two_sided_p(t, df):
 
 
 def welch_t_test(a, b):
-    """Welch's unequal-variance t statistic, Welch-Satterthwaite df, 2-sided p."""
+    """Welch's unequal-variance t statistic, Welch-Satterthwaite df, 2-sided p.
+
+    The test treats ``a`` and ``b`` as independent samples. Two pairing modes'
+    genuine scores are not: the modes share identities and images, so a
+    p-value comparing them overstates the uncertainty of the watermark's effect.
+    """
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     if xa.size < 2 or xb.size < 2:
@@ -463,7 +468,7 @@ class EmbedderTrainConfig:
 
     def __post_init__(self):
         # batch_size >= 2: train_embedder skips one-sample batches, as batch statistics need two.
-        for key, low in (("embed_dim", 1), ("base_channels", 1), ("epochs", 0), ("batch_size", 2)):
+        for key, low in (("embed_dim", 1), ("base_channels", 1), ("epochs", 1), ("batch_size", 2)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not (0.0 < self.lr < math.inf):
@@ -488,18 +493,15 @@ def _build_embedder(cfg, seed=None):
     return containers.Model(cfg, tg.init_params(_embedder_layout(cfg), rng))
 
 
-def forward_embedder(model, images, mode="infer", track_stats=True):
-    """(N,C,H,W) batch -> (features (N,d) node, class logits (N,K) node).
-
-    ``track_stats=False`` leaves the running statistics out, so only ``train`` mode can run.
-    """
+def forward_embedder(model, images, mode="infer"):
+    """(N,C,H,W) batch -> (features (N,d) node, class logits (N,K) node)."""
     cfg = model.config
     x = images if isinstance(images, tg.Node) else tg.leaf(np.asarray(images, dtype=np.float64))
     if x.value.shape[1] != cfg.image_channels:
         raise ValueError(f"embedder expects {cfg.image_channels}-channel images, got {x.value.shape[1]}")
     out = x
     for i in range(_EMBEDDER_BLOCKS):
-        out = model.params.block(out, f"emb.block{i}", mode, track_stats)
+        out = model.params.block(out, f"emb.block{i}", mode)
     pooled = tg.global_avg_pool(out)
     features = tg.affine(pooled, model.params["emb.fc_embed.weight"], model.params["emb.fc_embed.bias"])
     logits = tg.affine(features, model.params["emb.fc_class.weight"], model.params["emb.fc_class.bias"])
@@ -562,7 +564,7 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
             if idx.size < 2:
                 continue  # batch statistics need more than one sample
             losses.append(_train_batch(model, config, data[idx], y[idx]))
-        history.append(float(np.mean(losses)) if losses else float("nan"))
+        history.append(float(np.mean(losses)))
     return model, history
 
 
@@ -570,25 +572,15 @@ def embed_images(model, images, identities, source="original"):
     """Embeddings for a batch of images, tagging identity and source.
 
     Images whose spatial size differs from the embedder's configured input
-    are bilinearly resized first. Embeddings come from initialization when
-    the model is untrained, deterministically per seed.
+    are bilinearly resized first. The batch runs in ``infer`` mode, on the
+    model's running statistics.
     """
     data, labels = _labelled_images(images, identities)
     size = model.config.image_size
     if data.shape[2] != size or data.shape[3] != size:
         data = tg.resize_bilinear(tg.leaf(data), size, size).value
-    if all(s.populated for s in model.params.stats.values()):
-        features, _ = forward_embedder(model, data, mode="infer")
-        vectors = features.value.astype(np.float32)
-    else:
-        # Untrained embedder: each image runs alone on its own batch statistics,
-        # so embeddings do not depend on how the batch was composed, and the
-        # images can spread over the usable cores.
-        def alone(img):
-            return forward_embedder(model, img[None], "train", track_stats=False)[0].value[0]
-
-        rows = tg.map_ordered(alone, data)
-        vectors = np.stack(rows).astype(np.float32)
+    features, _ = forward_embedder(model, data, mode="infer")
+    vectors = features.value.astype(np.float32)
     return [Embedding(vector=vectors[i], identity=labels[i], source=source) for i in range(len(labels))]
 
 

@@ -131,13 +131,12 @@ def _cmd_train_wm(args):
     wm.save_model(model, args.out_model)
     if args.history:
         pipeline.write_history(history, args.history)
-    if history:
-        last = history[-1]
-        print(
-            f"done: bit_acc={last['bit_acc']:.4f} psnr={last['psnr']:.2f} dB "
-            f"recon={last['recon_loss']:.3e} decode={last['decode_loss']:.3e}",
-            file=sys.stderr,
-        )
+    last = history[-1]
+    print(
+        f"done: bit_acc={last['bit_acc']:.4f} psnr={last['psnr']:.2f} dB "
+        f"recon={last['recon_loss']:.3e} decode={last['decode_loss']:.3e}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -150,8 +149,7 @@ def _cmd_train_embedder(args):
     bioeval.save_embedder(model, args.out_model)
     if args.history:
         containers.write_lines(args.history, ["epoch,loss", *(f"{i},{loss!r}" for i, loss in enumerate(history, 1))])
-    if history:
-        print(f"done: {len(history)} epochs, final loss {history[-1]:.4f}", file=sys.stderr)
+    print(f"done: {len(history)} epochs, final loss {history[-1]:.4f}", file=sys.stderr)
     return 0
 
 

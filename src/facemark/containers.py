@@ -18,10 +18,11 @@ a NaN or Inf payload value is rejected.
 Both model formats hold one :class:`Model` (:func:`save_model`,
 :func:`load_model`): its config dataclass as the header's config block, its
 step counter, and its ``tensorgrad.ParamSet`` as the tensors: the
-parameters in order, then the running statistics of each populated
-batchnorm slot in ``ParamSet.stats``. A Conv-BN-ReLU block ``<block>`` has
+parameters in order, then the running statistics of every batchnorm slot
+in ``ParamSet.stats``. A Conv-BN-ReLU block ``<block>`` has
 ``<block>.conv.weight/bias``, ``<block>.bn.gamma/beta`` and
-``<block>.bn.running_mean/var``.
+``<block>.bn.running_mean/var``. Only a trained model, whose every slot
+holds statistics, can be saved, and a file must hold them all to load.
 """
 
 from __future__ import annotations
@@ -136,44 +137,46 @@ def _manifest_entry(path, entry):
 
 
 def save_model(path, magic, model):
-    """Write ``model``: its config and step, its parameters, then each populated slot of ``params.stats``."""
+    """Write ``model``: its config and step, its parameters, then the running statistics of every batchnorm slot.
+
+    A slot with no statistics yet (the model was never trained) raises ValueError naming it, before the file is opened.
+    """
     params = model.params
     tensors = [(name, node.value) for name, node in params.items()]
     for slot, running in params.stats.items():
-        if running.populated:
-            tensors += [(f"{slot}.running_mean", running.mean), (f"{slot}.running_var", running.var)]
+        if not running.populated:
+            raise ValueError(f"batchnorm slot {slot!r} has no running statistics; only a trained model can be saved")
+        tensors += [(f"{slot}.running_mean", running.mean), (f"{slot}.running_var", running.var)]
     write_container(path, magic, asdict(model.config), model.step, tensors)
 
 
 def load_model(path, magic, config_cls, new_model):
     """Inverse of :func:`save_model`: ``new_model(config)`` is filled from the file.
 
-    ``new_model`` builds the :class:`Model` for a ``config_cls`` config. Any
-    missing, misshapen, unexpected or half-present tensor raises ValueError.
+    ``new_model`` builds the :class:`Model` for a ``config_cls`` config. The
+    file must hold exactly the model's parameters and the running mean and
+    variance of every batchnorm slot, at the slot's gamma shape; a missing,
+    misshapen or unexpected tensor raises ValueError.
     """
     config, step, tensors = read_container(path, magic)
     model = new_model(build_config(path, config_cls, config))
     model.step = step
     nodes, stats = dict(model.params.items()), model.params.stats
-    for name, node in nodes.items():
+    expected = {name: node.value.shape for name, node in nodes.items()}
+    for slot in stats:
+        expected[f"{slot}.running_mean"] = expected[f"{slot}.running_var"] = expected[f"{slot}.gamma"]
+    for name, shape in expected.items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != node.value.shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {node.value.shape}")
-    for name, arr in tensors.items():
-        if name in nodes:
-            nodes[name].value[...] = arr
-            continue
-        slot, _, kind = name.rpartition(".")
-        if slot not in stats or kind not in ("running_mean", "running_var"):
-            raise ValueError(f"{path}: unexpected tensor {name!r}")
-        setattr(stats[slot], "mean" if kind == "running_mean" else "var", arr)
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    extra = next((name for name in tensors if name not in expected), None)
+    if extra is not None:
+        raise ValueError(f"{path}: unexpected tensor {extra!r}")
+    for name, node in nodes.items():
+        node.value[...] = tensors[name]
     for slot, running in stats.items():
-        channels = nodes[f"{slot}.gamma"].value.shape
-        if any(arr is not None and arr.shape != channels for arr in (running.mean, running.var)):
-            raise ValueError(f"{path}: running statistics for {slot!r} have wrong shape")
-        if (running.mean is None) != (running.var is None):
-            raise ValueError(f"{path}: running statistics for {slot!r} are incomplete")
+        running.mean, running.var = tensors[f"{slot}.running_mean"], tensors[f"{slot}.running_var"]
     return model
 
 

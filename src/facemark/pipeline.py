@@ -87,10 +87,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.model_config()  # validates the architecture fields
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
         # image_size before the crop and resize ranges, which also bound the decoder's input side
-        for key, low in (("image_size", wm.MIN_DECODE_SIDE), ("checkpoint_interval", 0)):
+        for key, low in (("steps", 1), ("batch_size", 1), ("image_size", wm.MIN_DECODE_SIDE),
+                         ("checkpoint_interval", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not (0.0 < self.lr < math.inf):
@@ -612,10 +611,14 @@ def run_verification(embeddings, options=VerifyOptions()):
 
     When the original-original mode is among ``options.modes``, each report
     carries a two-sided Welch t-test of its mode's genuine scores against the
-    original-original ones. A FAR target that the imposter sample cannot
-    resolve, or a t-test that is undefined (fewer than 2 genuine scores on
-    a side, or no variance in both), yields a report with an error record
-    instead of failing the run; the t-test fields then stay ``None``.
+    original-original ones. The test treats the two genuine-score sets as
+    independent samples; the pairing modes share identities and images, so
+    its p-value overstates the uncertainty of the watermark's effect.
+
+    A FAR target that the imposter sample cannot resolve, or a t-test that
+    is undefined (fewer than 2 genuine scores on a side, or no variance in
+    both), yields a report with an error record instead of failing the run;
+    the t-test fields then stay ``None``.
     """
     dims = {e.vector.shape[0] for e in embeddings}
     if len(dims) > 1:

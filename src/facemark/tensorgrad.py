@@ -931,13 +931,9 @@ class ParamSet:
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())
 
-    def block(self, x, prefix, mode, track_stats=True):
-        """Run the :func:`conv_bn_relu` block ``prefix`` on ``x``.
-
-        ``track_stats=False`` leaves the block's running statistics out, so only ``train`` mode can run.
-        """
-        running = self.stats[f"{prefix}.bn"] if track_stats else None
-        return conv_bn_relu(x, *(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS), mode, running)
+    def block(self, x, prefix, mode):
+        """Run the :func:`conv_bn_relu` block ``prefix`` on ``x`` with its running statistics."""
+        return conv_bn_relu(x, *(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS), mode, self.stats[f"{prefix}.bn"])
 
 
 _CONV_BN_PARTS = ("conv.weight", "conv.bias", "bn.gamma", "bn.beta")

@@ -1,7 +1,8 @@
 """Procedural test data: textures for watermark training, a small
 identity-structured face-stand-in set for verification experiments, and
 identity-structured embeddings for the verification metrics. Also the
-scalar loss the gradient tests backpropagate from.
+scalar loss the gradient tests backpropagate from, and the tensors of a
+model file.
 
 Pixel values stay inside [0.08, 0.92] so the sigmoid-output encoder never
 has to chase saturated targets.
@@ -89,3 +90,19 @@ def sum_all(x):
     shape = x.value.shape
     return tg.Node(x.value.sum(), op="sum_all", parents=(x,), requires_grad=x.requires_grad,
                    vjp=(lambda g: (np.broadcast_to(g, shape).copy(),)) if x.requires_grad else None)
+
+
+def model_tensors(model):
+    """The (name, array) list a model file holds for ``model``, in file order.
+
+    Its parameters, then the running mean and variance of every batchnorm
+    slot; slot ``k`` gets mean ``k + 0.5`` and variance ``k + 2``, so each
+    slot's statistics differ from every other's.
+    """
+    params = model.params
+    tensors = [(name, node.value) for name, node in params.items()]
+    for k, slot in enumerate(params.stats):
+        shape = params[f"{slot}.gamma"].value.shape
+        tensors += [(f"{slot}.running_mean", np.full(shape, k + 0.5)),
+                    (f"{slot}.running_var", np.full(shape, k + 2.0))]
+    return tensors

@@ -13,7 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _synth import identity_embeddings
+from _synth import identity_embeddings, model_tensors
 from facemark import bioeval as be
 from facemark import cli, pipeline
 from facemark import tensorgrad as tg
@@ -820,10 +820,8 @@ class TestVerifyOptions:
 
 def write_embedder_with(path, extra, edit_config=lambda c: c):
     cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8, class_labels=("a", "b"))
-    model = be._build_embedder(cfg, seed=1)
-    config = asdict(cfg)
-    tensors = [(name, node.value) for name, node in model.params.items()] + extra
-    write_container(path, be.EMBEDDER_MAGIC, edit_config(config), 0, tensors)
+    tensors = model_tensors(be._build_embedder(cfg, seed=1)) + extra
+    write_container(path, be.EMBEDDER_MAGIC, edit_config(asdict(cfg)), 0, tensors)
 
 
 def without_class_labels(config):
@@ -845,16 +843,6 @@ BAD_CLASS_LABELS = {
 
 
 class TestLoadEmbedder:
-    def test_statistics_land_in_their_block(self, tmp_path):
-        path = tmp_path / "m.emb"
-        write_embedder_with(path, [("emb.block1.bn.running_mean", np.full(3, 0.25)),
-                                   ("emb.block1.bn.running_var", np.full(3, 2.0))])
-        model = be.load_embedder(path)
-        stats = model.params.stats
-        np.testing.assert_array_equal(stats["emb.block1.bn"].mean, np.full(3, 0.25))
-        np.testing.assert_array_equal(stats["emb.block1.bn"].var, np.full(3, 2.0))
-        assert stats["emb.block0.bn"].mean is None and stats["emb.block2.bn"].mean is None
-
     @pytest.mark.parametrize("name", ["emb.block9.bn.running_mean", "emb.block-1.bn.running_mean",
                                       "emb.block01.bn.running_var", "emb.block0.bn.running_std"])
     def test_unknown_statistics_name_rejected(self, tmp_path, name):
@@ -899,27 +887,20 @@ class TestLoadEmbedder:
 # ---------------------------------------------------------------------------
 
 def stats_snapshot(model):
-    stats = model.params.stats.items()
-    return {slot: (r.mean, r.var) if r.mean is None else (r.mean.copy(), r.var.copy()) for slot, r in stats}
+    return {slot: (r.mean.copy(), r.var.copy()) for slot, r in model.params.stats.items()}
 
 
 def assert_stats_unchanged(model, before):
     for slot, (mean, var) in before.items():
         running = model.params.stats[slot]
-        assert (running.mean is None) == (mean is None) and (running.var is None) == (var is None), slot
-        if mean is not None:
-            np.testing.assert_array_equal(running.mean, mean)
-            np.testing.assert_array_equal(running.var, var)
+        np.testing.assert_array_equal(running.mean, mean)
+        np.testing.assert_array_equal(running.var, var)
 
 
 class TestEmbedImages:
     def images(self, count=5, size=16, seed=6):
         rng = np.random.default_rng(seed)
         return rng.random((count, 3, size, size)), [f"id{i % 2}" for i in range(count)]
-
-    def untrained(self):
-        cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=16, class_labels=("a", "b"))
-        return be._build_embedder(cfg, seed=3)
 
     def test_populated_embedder_runs_in_infer_mode(self):
         model = be.load_embedder(DATA / "golden_embedder.emb")
@@ -935,40 +916,15 @@ class TestEmbedImages:
             assert (emb.identity, emb.source) == (label, "watermarked")
         assert_stats_unchanged(model, before)
 
-    @pytest.mark.parametrize("populated", [[], ["emb.block1.bn"]], ids=["none", "some"])
-    def test_unpopulated_embedder_embeds_each_image_alone(self, populated):
-        model = self.untrained()
-        for slot in populated:
-            model.params.stats[slot].update(np.full(3, 0.5), np.full(3, 2.0))
-        before = stats_snapshot(model)
-        images, labels = self.images()
-        batch = be.embed_images(model, images, labels)
-        for i, emb in enumerate(batch):
-            (alone,) = be.embed_images(model, images[i : i + 1], labels[i : i + 1])
-            np.testing.assert_array_equal(emb.vector, alone.vector)
-        assert_stats_unchanged(model, before)
-        assert [slot for slot, r in model.params.stats.items() if r.populated] == populated
-
-    def test_unpopulated_embedder_vectors_repeat_on_any_worker_count(self, conv_workers):
-        model = self.untrained()
-        images, labels = self.images()
-        vectors = {}
-        for workers in (1, 2, 3):
-            conv_workers(workers)
-            vectors[workers] = [emb.vector for emb in be.embed_images(model, images, labels)]
-        for workers in (2, 3):
-            assert all(np.array_equal(a, b) for a, b in zip(vectors[workers], vectors[1], strict=True)), workers
-
     def test_empty_identity_label_rejected(self):
         images, labels = self.images(count=4)[0], ["a", "a", "", ""]
         with pytest.raises(ValueError, match="every image needs a non-empty identity label"):
-            be.embed_images(self.untrained(), images, labels)
+            be.embed_images(be.load_embedder(DATA / "golden_embedder.emb"), images, labels)
         with pytest.raises(ValueError, match="every image needs a non-empty identity label"):
             be.train_embedder(images, labels)  # its class labels would not load back
 
-    @pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
-    def test_other_sizes_are_resized_first(self, trained):
-        model = be.load_embedder(DATA / "golden_embedder.emb") if trained else self.untrained()
+    def test_other_sizes_are_resized_first(self):
+        model = be.load_embedder(DATA / "golden_embedder.emb")
         images, labels = self.images(size=24)
         resized = be.embed_images(model, images, labels)
         direct = be.embed_images(model, tg.resize_bilinear(tg.leaf(images), 16, 16).value, labels)

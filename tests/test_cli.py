@@ -2,6 +2,9 @@
 success, 1 on a usage error, 2 on a runtime failure, with no traceback on
 standard error in any case."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,12 @@ def test_neither_or_both_of_an_exclusive_flag_pair_exits_1(tmp_path, capsys, com
     assert code == 1
     assert err.startswith("usage error: ") and pair[0] in err and pair[1] in err
     assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
+
+
+def test_python_m_facemark_runs_the_command_line_without_a_warning():
+    env = {**os.environ, "PYTHONPATH": str(DATA.parents[1] / "src")}
+    argv = [sys.executable, "-m", "facemark", "--help"]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "train-wm" in result.stdout
+    assert "RuntimeWarning" not in result.stderr

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _synth import model_tensors
 from facemark import bioeval as be
 from facemark import cli
 from facemark import watermarknet as wm
@@ -181,21 +182,19 @@ class TestReadContainerFuzz:
 
 def wmf_parts():
     model = wm.build_model(wm.WatermarkConfig(message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=2), 1)
-    return asdict(model.config), [(name, node.value) for name, node in model.params.items()]
+    return asdict(model.config), model_tensors(model)
 
 
 def emb_parts():
     cfg = be.EmbedderConfig(embed_dim=4, num_classes=2, base_channels=3, image_size=8, class_labels=("a", "b"))
-    model = be._build_embedder(cfg, seed=1)
-    return asdict(cfg), [(name, node.value) for name, node in model.params.items()]
+    return asdict(cfg), model_tensors(be._build_embedder(cfg, seed=1))
 
 
 @dataclass(frozen=True)
 class Format:
     magic: bytes
     load: Callable
-    parts: Callable  # () -> (config dict, [(name, array)]) of a fresh model
-    stats_of: Callable  # model -> {slot: RunningStats}
+    parts: Callable  # () -> (config dict, [(name, array)]) of a fresh model with every slot's statistics
     tensor: str  # a parameter name
     slot: str  # a batchnorm slot
     unknown_slot: str
@@ -207,20 +206,15 @@ class Format:
         config, tensors = self.parts()
         write_container(path, self.magic, edit_config(config), 3, edit_tensors(tensors))
 
-    def channels(self):
-        return dict(self.parts()[1])[f"{self.slot}.gamma"].shape
-
 
 FORMATS = {
     "wmf1": Format(
         wm.MODEL_MAGIC, wm.load_model, wmf_parts,
-        lambda m: m.params.stats,
         "dec.block1.conv.bias", "dec.bits.bn", "dec.block9.bn", ("message_length", 0),
         lambda path, d: ["extract", "--model", str(path), str(d / "in.ppm")],
     ),
     "emb1": Format(
         be.EMBEDDER_MAGIC, be.load_embedder, emb_parts,
-        lambda m: m.params.stats,
         "emb.block1.conv.bias", "emb.block1.bn", "emb.block9.bn", ("embed_dim", 0),
         lambda path, d: ["verify", "--embedder", str(path), str(d / "manifest.txt"), str(d / "out.txt")],
     ),
@@ -232,26 +226,32 @@ def fmt(request):
     return FORMATS[request.param]
 
 
+# Each format with a parameter's name, under the format's own id, then with a running mean's name.
+TENSOR_CASES = [pytest.param(f, f.tensor, id=k) for k, f in sorted(FORMATS.items())] + [
+    pytest.param(f, f"{f.slot}.running_mean", id=f"{k}-running_mean") for k, f in sorted(FORMATS.items())
+]
+
+
 class TestLoadState:
     def test_statistics_land_in_their_slot(self, tmp_path, fmt):
-        shape = fmt.channels()
-        stats = [(f"{fmt.slot}.running_mean", np.full(shape, 0.5)), (f"{fmt.slot}.running_var", np.full(shape, 2.0))]
-        fmt.write(tmp_path / "m", lambda t: t + stats)
+        fmt.write(tmp_path / "m")
         model = fmt.load(tmp_path / "m")
-        loaded = fmt.stats_of(model)
-        assert [slot for slot, running in loaded.items() if running.populated] == [fmt.slot]
-        np.testing.assert_array_equal(loaded[fmt.slot].mean, np.full(shape, 0.5))
-        np.testing.assert_array_equal(loaded[fmt.slot].var, np.full(shape, 2.0))
+        written = dict(fmt.parts()[1])
+        for slot, running in model.params.stats.items():
+            np.testing.assert_array_equal(running.mean, written[f"{slot}.running_mean"])
+            np.testing.assert_array_equal(running.var, written[f"{slot}.running_var"])
         assert model.step == 3
 
-    def test_missing_tensor(self, tmp_path, fmt):
-        fmt.write(tmp_path / "m", lambda t: [(n, v) for n, v in t if n != fmt.tensor])
-        with pytest.raises(ValueError, match=re.escape(f"missing tensor {fmt.tensor!r}")):
+    @pytest.mark.parametrize("fmt, name", TENSOR_CASES)
+    def test_missing_tensor(self, tmp_path, fmt, name):
+        fmt.write(tmp_path / "m", lambda t: [(n, v) for n, v in t if n != name])
+        with pytest.raises(ValueError, match=re.escape(f"missing tensor {name!r}")):
             fmt.load(tmp_path / "m")
 
-    def test_wrong_shape(self, tmp_path, fmt):
-        fmt.write(tmp_path / "m", lambda t: [(n, np.zeros(7) if n == fmt.tensor else v) for n, v in t])
-        with pytest.raises(ValueError, match=re.escape(f"tensor {fmt.tensor!r} has shape (7,)")):
+    @pytest.mark.parametrize("fmt, name", TENSOR_CASES)
+    def test_wrong_shape(self, tmp_path, fmt, name):
+        fmt.write(tmp_path / "m", lambda t: [(n, np.zeros(7) if n == name else v) for n, v in t])
+        with pytest.raises(ValueError, match=re.escape(f"tensor {name!r} has shape (7,)")):
             fmt.load(tmp_path / "m")
 
     def test_unexpected_tensor(self, tmp_path, fmt):
@@ -264,20 +264,6 @@ class TestLoadState:
         name = f"{fmt.unknown_slot}.running_mean"
         fmt.write(tmp_path / "m", lambda t: t + [(name, np.zeros(3)), (f"{fmt.unknown_slot}.running_var", np.ones(3))])
         with pytest.raises(ValueError, match=re.escape(f"unexpected tensor {name!r}")):
-            fmt.load(tmp_path / "m")
-
-    def test_incomplete_pair(self, tmp_path, fmt):
-        fmt.write(tmp_path / "m", lambda t: t + [(f"{fmt.slot}.running_var", np.ones(fmt.channels()))])
-        with pytest.raises(ValueError, match=re.escape(f"running statistics for {fmt.slot!r} are incomplete")):
-            fmt.load(tmp_path / "m")
-
-    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "lone"])
-    def test_wrong_statistics_shape(self, tmp_path, fmt, pair):
-        stats = [(f"{fmt.slot}.running_mean", np.zeros(11))]
-        if pair:
-            stats.append((f"{fmt.slot}.running_var", np.ones(fmt.channels())))
-        fmt.write(tmp_path / "m", lambda t: t + stats)
-        with pytest.raises(ValueError, match=re.escape(f"running statistics for {fmt.slot!r} have wrong shape")):
             fmt.load(tmp_path / "m")
 
     def test_unknown_config_key(self, tmp_path, fmt):
@@ -306,6 +292,23 @@ class TestLoadState:
         fmt.write(tmp_path / "m", lambda t: [(n, np.full(v.shape, value) if n == fmt.tensor else v) for n, v in t])
         with pytest.raises(ValueError, match=re.escape(f"tensor {fmt.tensor!r} holds NaN or Inf")):
             fmt.load(tmp_path / "m")
+
+
+def test_model_file_without_statistics_exits_2(tmp_path, capsys, fmt):
+    path = tmp_path / "m"
+    fmt.write(path, lambda t: [(n, v) for n, v in t if ".running_" not in n])
+    first = next(n for n, _ in fmt.parts()[1] if n.endswith(".running_mean"))
+    assert cli.cli_dispatch(fmt.command(path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: missing tensor {first!r}" in err
+    assert "Traceback" not in err
+
+
+def test_untrained_model_is_not_saved(tmp_path):
+    path = tmp_path / "untrained.wmf"
+    with pytest.raises(ValueError, match=re.escape("batchnorm slot 'enc.block0.bn' has no running statistics")):
+        wm.save_model(wm.build_model(wm.WatermarkConfig(message_length=4, base_channels=3)), path)
+    assert not path.exists()
 
 
 def test_cli_extract_with_corrupt_model_exits_2(tmp_path, capsys):

@@ -146,6 +146,8 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
 @pytest.mark.parametrize(
     "command, line, key",
     [
+        ("train-wm", "steps=0", "steps"),
+        ("train-embedder", "epochs=0", "epochs"),
         ("train-wm", "message_length=0", "message_length"),
         ("train-wm", "base_channels=0", "base_channels"),
         ("train-wm", "image_channels=2", "image_channels"),
