@@ -227,7 +227,7 @@ def fmt(request):
 
 
 # Each format with a parameter's name, under the format's own id, then with a running mean's name.
-TENSOR_CASES = [pytest.param(f, f.tensor, id=k) for k, f in sorted(FORMATS.items())] + [
+MISSING_CASES = [pytest.param(f, f.tensor, id=k) for k, f in sorted(FORMATS.items())] + [
     pytest.param(f, f"{f.slot}.running_mean", id=f"{k}-running_mean") for k, f in sorted(FORMATS.items())
 ]
 
@@ -242,16 +242,23 @@ class TestLoadState:
             np.testing.assert_array_equal(running.var, written[f"{slot}.running_var"])
         assert model.step == 3
 
-    @pytest.mark.parametrize("fmt, name", TENSOR_CASES)
+    @pytest.mark.parametrize("fmt, name", MISSING_CASES)
     def test_missing_tensor(self, tmp_path, fmt, name):
         fmt.write(tmp_path / "m", lambda t: [(n, v) for n, v in t if n != name])
         with pytest.raises(ValueError, match=re.escape(f"missing tensor {name!r}")):
             fmt.load(tmp_path / "m")
 
-    @pytest.mark.parametrize("fmt, name", TENSOR_CASES)
-    def test_wrong_shape(self, tmp_path, fmt, name):
-        fmt.write(tmp_path / "m", lambda t: [(n, np.zeros(7) if n == name else v) for n, v in t])
-        with pytest.raises(ValueError, match=re.escape(f"tensor {name!r} has shape (7,)")):
+    def test_wrong_shape(self, tmp_path, fmt):
+        fmt.write(tmp_path / "m", lambda t: [(n, np.zeros(7) if n == fmt.tensor else v) for n, v in t])
+        with pytest.raises(ValueError, match=re.escape(f"tensor {fmt.tensor!r} has shape (7,)")):
+            fmt.load(tmp_path / "m")
+
+    # A misshapen running mean is reported by name, whether its variance is misshapen too or not.
+    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "lone"])
+    def test_wrong_statistics_shape(self, tmp_path, fmt, pair):
+        misshapen = {f"{fmt.slot}.running_mean"} | ({f"{fmt.slot}.running_var"} if pair else set())
+        fmt.write(tmp_path / "m", lambda t: [(n, np.zeros(11) if n in misshapen else v) for n, v in t])
+        with pytest.raises(ValueError, match=re.escape(f"tensor '{fmt.slot}.running_mean' has shape (11,)")):
             fmt.load(tmp_path / "m")
 
     def test_unexpected_tensor(self, tmp_path, fmt):
