@@ -499,10 +499,7 @@ def forward_embedder(model, images, mode="infer"):
     x = images if isinstance(images, tg.Node) else tg.leaf(np.asarray(images, dtype=np.float64))
     if x.value.shape[1] != cfg.image_channels:
         raise ValueError(f"embedder expects {cfg.image_channels}-channel images, got {x.value.shape[1]}")
-    out = x
-    for i in range(_EMBEDDER_BLOCKS):
-        out = model.params.block(out, f"emb.block{i}", mode)
-    pooled = tg.global_avg_pool(out)
+    pooled = tg.global_avg_pool(model.params.stack(x, "emb", _EMBEDDER_BLOCKS, mode))
     features = tg.affine(pooled, model.params["emb.fc_embed.weight"], model.params["emb.fc_embed.bias"])
     logits = tg.affine(features, model.params["emb.fc_class.weight"], model.params["emb.fc_class.bias"])
     return features, logits

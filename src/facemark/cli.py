@@ -6,8 +6,10 @@ Subcommands: ``train-wm``, ``train-embedder``, ``embed``, ``extract``,
 the config seed. The keys of ``train-wm``, ``train-embedder``, ``sweep`` and
 ``verify`` are the fields of ``pipeline.TrainConfig``,
 ``bioeval.EmbedderTrainConfig``, ``pipeline.SweepSpec`` and
-``pipeline.VerifyOptions``; a bad key or value is a usage error, reported
-before any image is read.
+``pipeline.VerifyOptions``; a bad key or value is a usage error that names
+the config file, reported before any image is read. ``train-embedder`` reads
+the channel count of its first manifest image (P6: 3, P5: 1) and expects it
+of every image.
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Messages go to
 standard error; data goes to files or standard output only.
 
@@ -111,7 +113,10 @@ def _config(cls, args):
         mapping = pipeline.read_config(args.config) if args.config is not None else {}
         return pipeline.parse_config(cls, mapping, seed_override=args.seed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        message = str(exc)
+        if args.config is not None and args.config not in message:
+            message += f" (config {args.config})"
+        raise UsageError(message) from exc
 
 
 def _message_for_model(args, model):
@@ -143,7 +148,7 @@ def _cmd_train_wm(args):
 def _cmd_train_embedder(args):
     config = _config(bioeval.EmbedderTrainConfig, args)
     manifest = pipeline.load_manifest(args.manifest)
-    images = pipeline.load_manifest_images(manifest, 3)
+    images = pipeline.load_manifest_images(manifest, imageops.image_channels(manifest.absolute_paths()[0]))
     identities = [identity for _, identity in manifest.entries]
     model, history = bioeval.train_embedder(images, identities, config)
     bioeval.save_embedder(model, args.out_model)

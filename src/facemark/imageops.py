@@ -28,6 +28,7 @@ __all__ = [
     "save_ppm",
     "load_pgm",
     "save_pgm",
+    "image_channels",
     "load_image",
     "save_image",
     "to_8bit",
@@ -163,6 +164,15 @@ def load_pgm(path):
 def save_pgm(img, path):
     """Write a 1 x H x W image as binary P5; rounds to nearest, ties up."""
     _save_pnm(img, path, b"P5", 1, "save_pgm")
+
+
+def image_channels(path):
+    """The channel count a binary PNM file's magic declares: 3 for a P6 PPM, 1 for a P5 PGM."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    if magic not in (b"P6", b"P5"):
+        raise ValueError(f"{path}: expected P5 or P6 magic at byte 0, got {magic!r}")
+    return 3 if magic == b"P6" else 1
 
 
 def load_image(path, channels):

@@ -17,6 +17,12 @@ Conventions
   nodes raises. ``backward`` releases each vjp closure, and the interior
   gradient it consumed, as soon as the closure has run: afterwards only
   leaves hold ``grad``.
+* Every node takes the next number of one module-level counter when it is
+  made, and a node's parents exist before it, so creation order is a
+  topological order: ``backward`` runs the vjps in descending number. The
+  order holds because the counter advances under the GIL and each graph is
+  built on one thread; graphs built on different threads at once only
+  interleave their numbers.
 * ``backward`` frees the vjp closures, but every node's ``value`` lives as
   long as something references the graph. A training loop must therefore
   drop one step's graph (its loss and every intermediate node it named)
@@ -93,6 +99,9 @@ __all__ = [
 ]
 
 
+_CREATED = itertools.count()  # creation numbers: see the module's graph-order convention
+
+
 class Node:
     """One vertex of the computation graph: a value plus how it was produced.
 
@@ -103,7 +112,7 @@ class Node:
     once used.
     """
 
-    __slots__ = ("value", "op", "parents", "grad", "requires_grad", "_vjp", "_consumed")
+    __slots__ = ("value", "op", "parents", "grad", "requires_grad", "_vjp", "_consumed", "_seq")
 
     def __init__(self, value, op="leaf", parents=(), requires_grad=False, vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -113,6 +122,7 @@ class Node:
         self.requires_grad = bool(requires_grad)
         self._vjp = vjp
         self._consumed = False
+        self._seq = next(_CREATED)
 
     @property
     def shape(self):
@@ -828,44 +838,19 @@ def softmax_cross_entropy(logits, labels):
 # backward pass
 # ---------------------------------------------------------------------------
 
-def _topo_order(root):
-    """Children-before-parents order with cycle detection (iterative DFS)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state: dict[int, int] = {}
-    order: list[Node] = []
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        nid = id(node)
-        if processed:
-            state[nid] = BLACK
-            order.append(node)
-            continue
-        mark = state.get(nid, WHITE)
-        if mark == BLACK:
-            continue
-        if mark == GRAY:
-            raise ValueError("backward: cycle detected in computation graph")
-        state[nid] = GRAY
-        stack.append((node, True))
-        for p in node.parents:
-            pmark = state.get(id(p), WHITE)
-            if pmark == GRAY:
-                raise ValueError("backward: cycle detected in computation graph")
-            if pmark == WHITE:
-                stack.append((p, False))
-    return order
-
-
 def backward(loss):
     """Populate ``grad`` on every reachable leaf that requires gradients.
 
-    ``loss`` must be a scalar node. Gradients of interior nodes, and each
-    node's vjp closure with the arrays it captured, are released as soon as
-    the vjp has run, so only leaves (parameters and ``requires_grad``
-    leaves) keep ``grad``. Each graph supports one backward pass: a graph
-    that reaches any non-leaf node of a backpropagated graph raises. Leaves
-    are never consumed, so parameters serve one graph after another.
+    ``loss`` must be a scalar node. The nodes reachable from it run their
+    vjps newest first, by creation number (see the module's graph-order
+    convention); a parent no older than its child is a cycle, and raises.
+    A node's gradient contributions are summed in that order. Gradients of
+    interior nodes, and each node's vjp closure with the arrays it
+    captured, are released as soon as the vjp has run, so only leaves
+    (parameters and ``requires_grad`` leaves) keep ``grad``. Each graph
+    supports one backward pass: a graph that reaches any non-leaf node of a
+    backpropagated graph raises. Leaves are never consumed, so parameters
+    serve one graph after another.
     """
     if not isinstance(loss, Node):
         raise TypeError("backward: loss must be a Node")
@@ -874,7 +859,15 @@ def backward(loss):
     if not np.all(np.isfinite(loss.value)):
         raise ValueError("backward: loss is not finite")
 
-    order = _topo_order(loss)
+    order, seen = [loss], {loss}
+    for node in order:  # grows as it is walked
+        for p in node.parents:
+            if p._seq >= node._seq:
+                raise ValueError("backward: cycle detected in computation graph")
+            if p not in seen:
+                seen.add(p)
+                order.append(p)
+    order.sort(key=lambda node: node._seq)
     if any(node._consumed for node in order):
         raise RuntimeError("backward: this graph was already backpropagated; rebuild the graph")
     for node in order:
@@ -934,6 +927,12 @@ class ParamSet:
     def block(self, x, prefix, mode):
         """Run the :func:`conv_bn_relu` block ``prefix`` on ``x`` with its running statistics."""
         return conv_bn_relu(x, *(self[f"{prefix}.{part}"] for part in _CONV_BN_PARTS), mode, self.stats[f"{prefix}.bn"])
+
+    def stack(self, x, prefix, count, mode):
+        """Run the :func:`conv_bn_stack_layout` blocks ``<prefix>.block0`` to ``<prefix>.block<count-1>`` in order."""
+        for i in range(count):
+            x = self.block(x, f"{prefix}.block{i}", mode)
+        return x
 
 
 _CONV_BN_PARTS = ("conv.weight", "conv.bias", "bn.gamma", "bn.beta")

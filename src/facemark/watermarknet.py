@@ -113,9 +113,7 @@ def forward_encoder(model, images, messages, mode="train"):
     if c != cfg.image_channels:
         raise ValueError(f"encoder expects {cfg.image_channels}-channel images, got {c}")
     msg_node = _message_planes(messages, n, h, w, cfg.message_length)
-    out = tg.concat_channels(x, msg_node)
-    for i in range(cfg.encoder_blocks):
-        out = model.params.block(out, f"enc.block{i}", mode)
+    out = model.params.stack(tg.concat_channels(x, msg_node), "enc", cfg.encoder_blocks, mode)
     fused = tg.concat_channels(out, x, msg_node)
     final = tg.conv2d(fused, model.params["enc.out.weight"], model.params["enc.out.bias"], pad=1)
     return tg.sigmoid(final)
@@ -130,9 +128,7 @@ def forward_decoder(model, images, mode="train"):
         raise ValueError(f"decoder expects {cfg.image_channels}-channel images, got {c}")
     if h < MIN_DECODE_SIDE or w < MIN_DECODE_SIDE:
         raise ValueError(f"decoder needs at least {MIN_DECODE_SIDE}x{MIN_DECODE_SIDE} pixels, got {h}x{w}")
-    out = x
-    for i in range(cfg.decoder_blocks):
-        out = model.params.block(out, f"dec.block{i}", mode)
+    out = model.params.stack(x, "dec", cfg.decoder_blocks, mode)
     pooled = tg.global_avg_pool(model.params.block(out, "dec.bits", mode))
     return tg.affine(pooled, model.params["dec.fc.weight"], model.params["dec.fc.bias"])
 

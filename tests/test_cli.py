@@ -24,10 +24,12 @@ def _dispatch(capsys, *argv):
 
 
 def _manifest(root, images, identities):
+    """A manifest of ``images``, each a P6 PPM if it has 3 channels and else a P5 PGM."""
     lines = []
     for i, (image, identity) in enumerate(zip(images, identities)):
-        imageops.save_ppm(image, root / f"img{i}.ppm")
-        lines.append(f"img{i}.ppm,{identity}")
+        name = f"img{i}.{'ppm' if len(image) == 3 else 'pgm'}"
+        imageops.save_image(image, root / name)
+        lines.append(f"{name},{identity}")
     (root / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return root / "manifest.csv"
 
@@ -42,6 +44,81 @@ def test_train_embedder_exits_0_and_writes_a_loadable_embedder(tmp_path, capsys)
     code, _, err = _dispatch(capsys, "train-embedder", "--config", tmp_path / "emb.cfg", manifest, out)
     assert code == 0, err
     assert bioeval.load_embedder(out).config.image_size == 16
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_train_embedder_takes_the_channel_count_of_the_manifest_images(tmp_path, capsys, channels):
+    from facemark import bioeval
+
+    images, identities = identity_images(3, 4, size=16, seed=2, channels=channels)
+    manifest = _manifest(tmp_path, images, identities)
+    (tmp_path / "emb.cfg").write_text("epochs=2\nbatch_size=4\nbase_channels=3\nembed_dim=4\n", encoding="utf-8")
+    out = tmp_path / "emb.emb"
+    code, _, err = _dispatch(capsys, "train-embedder", "--config", tmp_path / "emb.cfg", manifest, out)
+    assert code == 0, err
+    assert bioeval.load_embedder(out).config.image_channels == channels
+    # the command trains exactly what the library trains on the images it wrote
+    config = bioeval.EmbedderTrainConfig(epochs=2, batch_size=4, base_channels=3, embed_dim=4)
+    stored = pipeline.load_manifest_images(pipeline.load_manifest(manifest), channels)
+    bioeval.save_embedder(bioeval.train_embedder(stored, identities, config)[0], tmp_path / "library.emb")
+    assert out.read_bytes() == (tmp_path / "library.emb").read_bytes()
+
+    (tmp_path / "verify.cfg").write_text("far_targets=0.1\nmodes=original-original\n", encoding="utf-8")
+    code, _, err = _dispatch(capsys, "verify", "--config", tmp_path / "verify.cfg", "--embedder", out, manifest,
+                             tmp_path / "report.txt")
+    assert code == 0, err
+    assert "incomplete" not in err
+
+
+@pytest.mark.parametrize("first", [1, 3])
+def test_train_embedder_on_mixed_pgm_and_ppm_images_exits_2_naming_the_odd_one(tmp_path, capsys, first):
+    images, identities = identity_images(2, 2, size=16, seed=2, channels=first)
+    odd, _ = identity_images(1, 1, size=16, seed=3, channels=4 - first)
+    manifest = _manifest(tmp_path, [*images, odd[0]], [*identities, "id0000"])
+    (tmp_path / "emb.cfg").write_text("epochs=1\n", encoding="utf-8")
+    code, _, err = _dispatch(capsys, "train-embedder", "--config", tmp_path / "emb.cfg", manifest, tmp_path / "out.emb")
+    assert code == 2
+    assert err.startswith("error: ") and f"img4.{'ppm' if first == 1 else 'pgm'}" in err
+    assert not (tmp_path / "out.emb").exists()
+
+
+def _run_the_paper_pipeline(root, capsys):
+    """Watermark training, dataset watermarking, the robustness sweep, an embedder trained on each of the
+    original and watermarked sets, and verification with each, all through ``cli_dispatch`` in ``root``.
+    Returns every file the run leaves in ``root``, by relative path."""
+    root.mkdir()
+    images, identities = identity_images(4, 3, size=16)
+    original = _manifest(root, images, identities)
+    marked = root / "marked" / "manifest.csv"
+    (root / "wm.cfg").write_text("steps=2\nbatch_size=4\nimage_size=16\nmessage_length=8\nbase_channels=4\n"
+                                 "encoder_blocks=2\ndecoder_blocks=2\ncheckpoint_interval=1\n", encoding="utf-8")
+    (root / "emb.cfg").write_text("epochs=2\nbatch_size=4\nbase_channels=4\nembed_dim=4\n", encoding="utf-8")
+    (root / "verify.cfg").write_text("far_targets=0.1\n", encoding="utf-8")
+    model, message = ["--model", root / "wm.wmf"], ["--message", "01100110"]
+    steps = [
+        ["train-wm", "--config", root / "wm.cfg", "--checkpoint-dir", root / "checkpoints", "--history",
+         root / "history.csv", original, root / "wm.wmf"],
+        ["watermark-dataset", *model, *message, original, root / "marked"],
+        ["sweep", *model, *message, original, root / "sweep.csv"],
+        ["train-embedder", "--config", root / "emb.cfg", original, root / "original.emb"],
+        ["train-embedder", "--config", root / "emb.cfg", marked, root / "marked.emb"],
+        *(["verify", "--config", root / "verify.cfg", "--embedder", root / f"{name}.emb", original, marked,
+           root / f"{name}_report.txt"] for name in ("original", "marked")),
+    ]
+    for argv in steps:
+        code, _, err = _dispatch(capsys, *argv)
+        assert code == 0, (argv[0], err)
+        assert "failed" not in err and "incomplete" not in err, (argv[0], err)
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_the_paper_pipeline_runs_through_the_command_line_and_repeats_byte_for_byte(tmp_path, capsys):
+    first = _run_the_paper_pipeline(tmp_path / "first", capsys)
+    second = _run_the_paper_pipeline(tmp_path / "second", capsys)
+    assert {"checkpoints/checkpoint_step1.wmf", "checkpoints/checkpoint_step2.wmf", "marked/img11.ppm",
+            "sweep.csv", "original_report.txt", "marked_report.txt"} <= set(first)
+    assert list(first) == list(second)
+    assert [name for name in first if first[name] != second[name]] == []
 
 
 def test_sweep_exits_0_and_writes_one_row_per_cell(tmp_path, capsys):

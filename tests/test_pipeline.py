@@ -142,11 +142,13 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
 
 # Bad values each command's config must reject with exit 1 before reading any
 # image. The manifest names a missing image, which would exit 2 if the config
-# were parsed after it.
+# were parsed after it. Every message names the config file once; a line
+# without '=' is named by the reader as path:line.
 @pytest.mark.parametrize(
     "command, line, key",
     [
         ("train-wm", "steps=0", "steps"),
+        ("train-wm", "steps", "run.cfg:1: expected key=value"),
         ("train-embedder", "epochs=0", "epochs"),
         ("train-wm", "message_length=0", "message_length"),
         ("train-wm", "base_channels=0", "base_channels"),
@@ -185,6 +187,7 @@ def test_cli_config_values_rejected_before_images_are_read(tmp_path, capsys, com
     assert cli.cli_dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and key in err
+    assert err.count(str(tmp_path / "run.cfg")) == 1
     assert "Traceback" not in err
     assert not out.exists()
 

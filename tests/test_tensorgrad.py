@@ -1,5 +1,6 @@
 """Layer-op semantics, gradients against finite differences, Adam, checker."""
 
+import ast
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import signal
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +338,31 @@ class TestConv2dOverSamples:
         none = np.zeros((0, 3, 16, 16))
         assert wm.forward_encoder(model, none, np.zeros((0, 4)), mode="infer").value.shape == (0, 3, 16, 16)
         assert wm.forward_decoder(model, none, mode="infer").value.shape == (0, 4)
+
+
+def _stacked_block_gradients(seed):
+    """The input and parameter gradients of a two-block Conv-BN-ReLU graph whose first block has two consumers,
+    built and backpropagated on the calling thread from parameters drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    x = tg.parameter(rng.standard_normal((2, 3, 6, 6)))
+    first, second = ([tg.parameter(v) for v in _block_values(rng, c_in, 4)] for c_in in (3, 4))
+    h = tg.conv_bn_relu(x, *first)
+    tg.backward(sum_all(tg.add(tg.conv_bn_relu(h, *second), h)))
+    return [p.grad for p in (x, *first, *second)]
+
+
+class TestBackwardOnPoolThreads:
+    """Graphs built and backpropagated on several threads at once, their creation numbers interleaved."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_every_gradient_is_the_serial_runs(self, conv_workers, workers):
+        conv_workers(1)
+        serial = [_stacked_block_gradients(seed) for seed in range(8)]
+        pool = conv_workers(workers)
+        spread = tg.map_ordered(_stacked_block_gradients, range(8))
+        assert pool.submitted == workers - 1
+        for want, got in zip(serial, spread, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
 
 
 class TestMapOrdered:
@@ -1081,6 +1108,31 @@ class TestParamSet:
         populated = [slot for slot, r in model.params.stats.items() if r.populated]
         assert populated == ["dec.block0.bn", "dec.bits.bn"]
         assert model.params.stats["dec.bits.bn"].mean.shape == (4,)
+
+
+    def test_stack_runs_its_blocks_in_layout_order(self):
+        layout = tg.conv_bn_stack_layout("net", 3, 2, 4)
+        stacked, chained = (tg.init_params(layout, np.random.default_rng(3)) for _ in range(2))
+        x = np.random.default_rng(4).random((2, 2, 6, 6))
+        out = stacked.stack(tg.leaf(x), "net", 3, "train")
+        want = tg.leaf(x)
+        for prefix in ("net.block0", "net.block1", "net.block2"):  # blocks 1 and 2 have one shape: order shows
+            want = chained.block(want, prefix, "train")
+        assert np.array_equal(out.value, want.value)
+        for slot, stats in stacked.stats.items():
+            assert np.array_equal(stats.mean, chained.stats[slot].mean) and np.array_equal(stats.var, chained.stats[slot].var)
+
+
+def test_only_tensorgrad_builds_block_names():
+    """``<prefix>.block<i>`` is formatted by ``conv_bn_stack_layout`` and ``ParamSet.stack`` alone."""
+    builders = []
+    for path in sorted(Path(tg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        builders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+                     and re.search(r"\.block(\d|$)", node.value)]
+    assert builders and all(b.startswith("tensorgrad.py:") for b in builders), builders
 
 
 class TestAdam:
