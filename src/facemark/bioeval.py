@@ -23,6 +23,7 @@ from . import tensorgrad as tg
 __all__ = [
     "Embedding",
     "ScoreSet",
+    "EmbeddingGroups",
     "VerificationReport",
     "EmbedderConfig",
     "EmbedderTrainConfig",
@@ -157,8 +158,101 @@ def _pool(by_identity, identities, source):
     return pool, offsets
 
 
+class EmbeddingGroups:
+    """Embeddings grouped once by identity and source, for scoring several pairing modes.
+
+    Each source's pool (its embeddings identity by identity, with offsets),
+    its float64 vector matrix with row norms, and each symmetric layout's
+    genuine and imposter cells are built on first use and kept, so the
+    modes of one verification run share them.
+    """
+
+    def __init__(self, embeddings):
+        by_identity: dict[str, dict[str, list[Embedding]]] = {}
+        for emb in embeddings:
+            by_identity.setdefault(emb.identity, {}).setdefault(emb.source, []).append(emb)
+        self._by_identity = by_identity
+        self.identities = sorted(by_identity)
+        self._sources = {source for groups in by_identity.values() for source in groups}
+        self._pools = {}
+        self._vectors = {}
+        self._symmetric_cells = {}
+
+    def missing_source(self, pairing):
+        """The first of ``pairing``'s probe and reference sources that has no embeddings, or None."""
+        return next((source for source in _mode_sources(pairing) if source not in self._sources), None)
+
+    def pool(self, source):
+        """``(embeddings, offsets)`` of ``source``, identity by identity."""
+        if source not in self._pools:
+            self._pools[source] = _pool(self._by_identity, self.identities, source)
+        return self._pools[source]
+
+    def vectors(self, source):
+        """``source``'s pool as a float64 (n, d) matrix, and its row norms."""
+        if source not in self._vectors:
+            matrix = np.array([e.vector for e in self.pool(source)[0]], dtype=np.float64)
+            self._vectors[source] = matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        return self._vectors[source]
+
+    def cells(self, probe_src, ref_src):
+        """Per-identity genuine pair counts and the flat genuine and imposter cells of the probe x reference matrix.
+
+        Rows and columns run identity by identity. Symmetric layouts keep
+        the upper triangle and are cached by their per-identity counts; the
+        asymmetric layout is built for its one mode and not kept.
+        """
+        p_off = np.asarray(self.pool(probe_src)[1])
+        if probe_src == ref_src:
+            key = p_off.tobytes()
+            if key not in self._symmetric_cells:
+                self._symmetric_cells[key] = _layout_cells(p_off, p_off, symmetric=True)
+            return self._symmetric_cells[key]
+        return _layout_cells(p_off, np.asarray(self.pool(ref_src)[1]), symmetric=False)
+
+
+def _layout_cells(p_off, r_off, symmetric):
+    n_p, n_r = np.diff(p_off), np.diff(r_off)
+    p_id = np.repeat(np.arange(n_p.size), n_p)
+    r_id = np.repeat(np.arange(n_r.size), n_r)
+    same = np.equal.outer(p_id, r_id)
+    if symmetric:
+        per_identity = n_p * (n_p - 1) // 2
+        upper = np.less.outer(np.arange(p_id.size), np.arange(r_id.size))
+        genuine_cells, imposter_cells = same & upper, ~same & upper
+    else:
+        per_identity = n_p * n_r - np.minimum(n_p, n_r)
+        p_local = np.arange(p_id.size) - np.repeat(p_off[:-1], n_p)
+        r_local = np.arange(r_id.size) - np.repeat(r_off[:-1], n_r)
+        genuine_cells, imposter_cells = same & np.not_equal.outer(p_local, r_local), ~same
+    return per_identity, np.flatnonzero(genuine_cells), np.flatnonzero(imposter_cells)
+
+
+def _cosines(p, p_norm, r, r_norm):
+    """``p @ r.T`` divided by the norm products and clipped to [-1, 1], in place, as one flat array.
+
+    The division runs over blocks of rows, so the norm products never take
+    a second matrix of that size. Cells of a zero-norm vector come out inf
+    or nan, silently; they are never scored.
+    """
+    # p @ p.T and p @ copy(p).T round differently; a symmetric mode passes r = p itself.
+    cosine = p @ r.T
+    rows = max(1, 8192 // r_norm.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, cosine.shape[0], rows):
+            block = cosine[start:start + rows]
+            np.divide(block, np.multiply.outer(p_norm[start:start + rows], r_norm), out=block)
+        np.clip(cosine, -1.0, 1.0, out=cosine)
+    return cosine.ravel()
+
+
 def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_000):
     """Build genuine and imposter cosine scores for one pairing mode.
+
+    ``embeddings`` is a list of :class:`Embedding` or an
+    :class:`EmbeddingGroups` built from one; a list is grouped here, so
+    scoring several modes of one set from one grouping gives the same
+    result as scoring each from the list.
 
     Genuine pairs are within-identity probe-reference pairs over distinct
     underlying images; underlying images are matched positionally within
@@ -175,70 +269,49 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     Each score is ``gram[a, b] / (|p_a| |r_b|)``, clipped to [-1, 1], from
     one float64 Gram matrix, so it lies within 1e-15 of
     :func:`cosine_similarity` on the same pair (the dot products sum in a
-    different order). A zero-norm vector raises only in a scored pair.
+    different order). The mode holds one such matrix, divided and clipped
+    in place, and both sides are gathered from it. A zero-norm vector
+    raises only in a scored pair; every pair is checked, and the imposters
+    subsampled, before the matrix is built.
     """
     probe_src, ref_src = _mode_sources(pairing)
-    symmetric = probe_src == ref_src
+    groups = embeddings if isinstance(embeddings, EmbeddingGroups) else EmbeddingGroups(embeddings)
     rng = np.random.default_rng(seed)
 
-    by_identity: dict[str, dict[str, list[Embedding]]] = {}
-    for emb in embeddings:
-        by_identity.setdefault(emb.identity, {}).setdefault(emb.source, []).append(emb)
-    identities = sorted(by_identity)
-    probes, p_off = _pool(by_identity, identities, probe_src)
-    refs, r_off = (probes, p_off) if symmetric else _pool(by_identity, identities, ref_src)
-
-    n_p, n_r = np.diff(p_off), np.diff(r_off)
-    p_id = np.repeat(np.arange(len(identities)), n_p)
-    r_id = np.repeat(np.arange(len(identities)), n_r)
-    same = np.equal.outer(p_id, r_id)
-    if symmetric:
-        per_identity = n_p * (n_p - 1) // 2
-        upper = np.less.outer(np.arange(len(probes)), np.arange(len(refs)))
-        genuine_cells, imposter_cells = same & upper, ~same & upper
-    else:
-        per_identity = n_p * n_r - np.minimum(n_p, n_r)
-        p_local = np.arange(len(probes)) - np.repeat(p_off[:-1], n_p)
-        r_local = np.arange(len(refs)) - np.repeat(r_off[:-1], n_r)
-        genuine_cells, imposter_cells = same & np.not_equal.outer(p_local, r_local), ~same
+    per_identity, gen, imp = groups.cells(probe_src, ref_src)
     skipped = int(np.count_nonzero(per_identity == 0))
-    if skipped == len(identities):
+    if skipped == len(groups.identities):
         raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
-    gen = np.flatnonzero(genuine_cells)
     if pairs_per_id:
         blocks = np.split(gen, np.cumsum(per_identity)[:-1])
         gen = np.concatenate([b[rng.choice(b.size, size=pairs_per_id, replace=False)] if b.size > pairs_per_id
                               else b for b in blocks])
 
+    probes, refs = groups.pool(probe_src)[0], groups.pool(ref_src)[0]
     shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
     if len(shapes) > 1:
         raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
-    p = np.array([e.vector for e in probes], dtype=np.float64)
-    # p @ p.T and p @ copy(p).T round differently, so the symmetric modes keep r = p.
-    r = p if symmetric else np.array([e.vector for e in refs], dtype=np.float64)
-    gram = (p @ r.T).ravel()
-    p_norm = np.sqrt(np.einsum("ij,ij->i", p, p))
-    r_norm = p_norm if symmetric else np.sqrt(np.einsum("ij,ij->i", r, r))
-    norms = np.multiply.outer(p_norm, r_norm).ravel()
+    p, p_norm = groups.vectors(probe_src)
+    r, r_norm = groups.vectors(ref_src)
     p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
 
-    def score(cells):
+    def check_norms(cells):
         if p_zero.any() or r_zero.any():
             a, b = np.divmod(cells, len(refs))
             if p_zero[a].any() or r_zero[b].any():
                 raise ValueError("cosine similarity is undefined for a zero-norm vector")
-        return np.clip(gram[cells] / norms[cells], -1.0, 1.0)
 
-    genuine = score(gen)
-    if len(identities) < 2:
+    check_norms(gen)
+    if len(groups.identities) < 2:
         raise ValueError("imposter pairs require at least 2 identities")
-
-    imp = np.flatnonzero(imposter_cells)
     candidates = imp.size
     if candidates > max_imposter:
         imp = imp[rng.choice(candidates, size=max_imposter, replace=False)]
-    imposter = score(imp)
+    check_norms(imp)
 
+    cosine = _cosines(p, p_norm, r, r_norm)
+    genuine, imposter = cosine[gen], cosine[imp]
+    del cosine  # freed before ScoreSet sorts its copies
     return ScoreSet(genuine=genuine, imposter=imposter, pairing=pairing, skipped_identities=skipped,
                     imposter_candidates=candidates)
 

@@ -607,13 +607,20 @@ def write_sweep_csv(cells, path):
 # ---------------------------------------------------------------------------
 
 def run_verification(embeddings, options=VerifyOptions()):
-    """One report per (pairing mode, FAR target).
+    """One report per (pairing mode, FAR target), in ``options.modes`` order.
 
     When the original-original mode is among ``options.modes``, each report
     carries a two-sided Welch t-test of its mode's genuine scores against the
     original-original ones. The test treats the two genuine-score sets as
     independent samples; the pairing modes share identities and images, so
     its p-value overstates the uncertainty of the watermark's effect.
+
+    The embeddings are grouped once (:class:`bioeval.EmbeddingGroups`) and
+    every mode is scored from that grouping by :func:`bioeval.pair_scores`.
+    A mode whose probe or reference source has no embeddings at all fails
+    before any mode is scored. The original-original mode is scored first,
+    and only its genuine scores are kept past its reports; each other mode's
+    score set lives only while its reports are built.
 
     A FAR target that the imposter sample cannot resolve, or a t-test that
     is undefined (fewer than 2 genuine scores on a side, or no variance in
@@ -623,21 +630,19 @@ def run_verification(embeddings, options=VerifyOptions()):
     dims = {e.vector.shape[0] for e in embeddings}
     if len(dims) > 1:
         raise ValueError(f"embeddings have inconsistent dimensions: {sorted(dims)}")
-
-    score_sets = {}
+    groups = bioeval.EmbeddingGroups(embeddings)
     for mode in options.modes:
-        score_sets[mode] = bioeval.pair_scores(
-            embeddings,
-            mode,
-            pairs_per_id=options.pairs_per_id,
-            seed=options.seed,
-            max_imposter=options.max_imposter,
-        )
-    reference = score_sets.get("original-original")
+        source = groups.missing_source(mode)
+        if source is not None:
+            raise ValueError(f"pairing mode {mode!r} needs {source!r} embeddings, but there are none")
 
-    reports = []
-    for mode in options.modes:
-        scores = score_sets[mode]
+    reference = None
+    by_mode = {}
+    for mode in sorted(options.modes, key=lambda m: m != "original-original"):
+        scores = bioeval.pair_scores(groups, mode, pairs_per_id=options.pairs_per_id, seed=options.seed,
+                                     max_imposter=options.max_imposter)
+        if mode == "original-original":
+            reference = scores.genuine
         eer_value = bioeval.eer(scores)
         stats = {
             "genuine_mean": float(scores.genuine.mean()),
@@ -650,9 +655,10 @@ def run_verification(embeddings, options=VerifyOptions()):
         t_stat = t_df = t_p = welch_error = None
         if reference is not None:
             try:
-                t_stat, t_df, t_p = bioeval.welch_t_test(reference.genuine, scores.genuine)
+                t_stat, t_df, t_p = bioeval.welch_t_test(reference, scores.genuine)
             except ValueError as exc:
                 welch_error = str(exc)
+        reports = by_mode[mode] = []
         for far in options.far_targets:
             report = bioeval.VerificationReport(
                 pairing=mode,
@@ -672,7 +678,8 @@ def run_verification(embeddings, options=VerifyOptions()):
             except ValueError as exc:
                 report.error = str(exc) if welch_error is None else f"{welch_error}; {exc}"
             reports.append(report)
-    return reports
+        del scores  # released before the next mode is scored
+    return [report for mode in options.modes for report in by_mode[mode]]
 
 
 def write_reports(reports, path):

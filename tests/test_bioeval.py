@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -771,6 +772,52 @@ class TestVerification:
         argv = ["verify", "--config", str(DATA / "verify_golden.cfg"), "--embeddings", str(embeddings), str(out)]
         assert cli.cli_dispatch(argv) == 0
         assert out.read_bytes() == (DATA / "verify_golden_report.txt").read_bytes()
+
+    @pytest.mark.parametrize("caps", [{}, {"pairs_per_id": 3, "max_imposter": 200}])
+    def test_reports_follow_mode_order_with_welch_against_original_original(self, caps):
+        embeddings = identity_embeddings(8, 4, dim=8, seed=5)
+        modes = ("watermarked-watermarked", "original-original", "watermarked-original")
+        options = pipeline.VerifyOptions(far_targets=(0.1, 1e-3), modes=modes, seed=6, **caps)
+        sets = {mode: be.pair_scores(embeddings, mode, pairs_per_id=options.pairs_per_id, seed=options.seed,
+                                     max_imposter=options.max_imposter) for mode in modes}
+        want = []
+        for scores in sets.values():
+            t_stat, t_df, t_p = be.welch_t_test(sets["original-original"].genuine, scores.genuine)
+            for far in options.far_targets:
+                report = be.VerificationReport(
+                    pairing=scores.pairing, far_target=far, eer_value=be.eer(scores),
+                    genuine_mean=float(scores.genuine.mean()), genuine_std=float(scores.genuine.std(ddof=1)),
+                    genuine_count=scores.genuine.size, imposter_mean=float(scores.imposter.mean()),
+                    imposter_std=float(scores.imposter.std(ddof=1)), imposter_count=scores.imposter.size,
+                    t_stat=t_stat, t_df=t_df, t_p=t_p, skipped_identities=scores.skipped_identities,
+                    imposter_candidates=scores.imposter_candidates)
+                try:
+                    report.tar, report.tau, report.achieved_far = be.tar_at_far(scores, far)
+                except ValueError as exc:
+                    report.error = str(exc)
+                want.append(asdict(report))
+        got = [asdict(r) for r in pipeline.run_verification(embeddings, options)]
+        assert got == want
+        assert [r["error"] is None for r in got] == [True, False] * 3  # 1e-3 needs 1000 imposters
+
+    def test_one_call_peaks_under_10_mib_at_the_benchmark_shape(self):
+        # Only one mode's score set may be alive at a time: all three at once peak at 12.8 MiB.
+        embeddings = identity_embeddings(100, 5, dim=32, seed=0)
+        options = pipeline.VerifyOptions(far_targets=(1e-2, 1e-3), max_imposter=200_000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pipeline.run_verification(embeddings, options)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
+    def test_a_mode_without_embeddings_of_its_source_fails_before_scoring(self, monkeypatch):
+        embeddings = [e for e in identity_embeddings(4, 3, seed=1) if e.source == "original"]
+        monkeypatch.setattr(be, "pair_scores", None)  # any scoring call would raise TypeError
+        with pytest.raises(ValueError, match="^pairing mode 'watermarked-original' needs 'watermarked' embeddings"):
+            pipeline.run_verification(embeddings)
 
 
 class TestVerifyOptions:

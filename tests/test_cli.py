@@ -70,6 +70,21 @@ def test_train_embedder_takes_the_channel_count_of_the_manifest_images(tmp_path,
     assert "incomplete" not in err
 
 
+def test_verify_without_a_listed_source_exits_2_naming_the_mode_and_the_source(tmp_path, capsys):
+    from facemark import bioeval
+
+    images, identities = identity_images(3, 4, size=16, seed=2)
+    manifest = _manifest(tmp_path, images, identities)
+    config = bioeval.EmbedderTrainConfig(epochs=1, batch_size=4, base_channels=3, embed_dim=4)
+    stored = pipeline.load_manifest_images(pipeline.load_manifest(manifest), 3)
+    bioeval.save_embedder(bioeval.train_embedder(stored, identities, config)[0], tmp_path / "emb.emb")
+    # The default modes: original-original is scorable, watermarked-original needs a watermarked manifest.
+    code, _, err = _dispatch(capsys, "verify", "--embedder", tmp_path / "emb.emb", manifest, tmp_path / "report.txt")
+    assert code == 2
+    assert err == "error: pairing mode 'watermarked-original' needs 'watermarked' embeddings, but there are none\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
 @pytest.mark.parametrize("first", [1, 3])
 def test_train_embedder_on_mixed_pgm_and_ppm_images_exits_2_naming_the_odd_one(tmp_path, capsys, first):
     images, identities = identity_images(2, 2, size=16, seed=2, channels=first)
