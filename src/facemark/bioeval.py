@@ -34,7 +34,6 @@ __all__ = [
     "eer",
     "welch_t_test",
     "regularized_incomplete_beta",
-    "student_t_two_sided_p",
     "train_embedder",
     "forward_embedder",
     "embed_images",
@@ -161,39 +160,38 @@ def _pool(by_identity, identities, source):
 class EmbeddingGroups:
     """Embeddings grouped once by identity and source, for scoring several pairing modes.
 
-    Each source's pool (its embeddings identity by identity, with offsets),
-    its float64 vector matrix with row norms, and each symmetric layout's
-    genuine and imposter cells are built on first use and kept, so the
-    modes of one verification run share them.
+    The set has one embedding dimension, checked here. Each source's row
+    cache (:meth:`rows`) and each symmetric layout's genuine and imposter
+    cells are built on first use and kept, so the modes of one
+    verification run share them.
     """
 
     def __init__(self, embeddings):
         by_identity: dict[str, dict[str, list[Embedding]]] = {}
+        shapes = set()
         for emb in embeddings:
             by_identity.setdefault(emb.identity, {}).setdefault(emb.source, []).append(emb)
+            shapes.add(emb.vector.shape)
+        if len(shapes) > 1:
+            raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, sorted(shapes)))}")
         self._by_identity = by_identity
         self.identities = sorted(by_identity)
+        self._dim = shapes.pop()[0] if shapes else 0
         self._sources = {source for groups in by_identity.values() for source in groups}
-        self._pools = {}
-        self._vectors = {}
+        self._rows = {}
         self._symmetric_cells = {}
 
     def missing_source(self, pairing):
         """The first of ``pairing``'s probe and reference sources that has no embeddings, or None."""
         return next((source for source in _mode_sources(pairing) if source not in self._sources), None)
 
-    def pool(self, source):
-        """``(embeddings, offsets)`` of ``source``, identity by identity."""
-        if source not in self._pools:
-            self._pools[source] = _pool(self._by_identity, self.identities, source)
-        return self._pools[source]
-
-    def vectors(self, source):
-        """``source``'s pool as a float64 (n, d) matrix, and its row norms."""
-        if source not in self._vectors:
-            matrix = np.array([e.vector for e in self.pool(source)[0]], dtype=np.float64)
-            self._vectors[source] = matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        return self._vectors[source]
+    def rows(self, source):
+        """``source``'s float64 (n, d) matrix, identity by identity, with its row norms and identity offsets."""
+        if source not in self._rows:
+            pool, offsets = _pool(self._by_identity, self.identities, source)
+            matrix = np.array([e.vector for e in pool], dtype=np.float64).reshape(len(pool), self._dim)
+            self._rows[source] = matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), np.asarray(offsets)
+        return self._rows[source]
 
     def cells(self, probe_src, ref_src):
         """Per-identity genuine pair counts and the flat genuine and imposter cells of the probe x reference matrix.
@@ -202,13 +200,13 @@ class EmbeddingGroups:
         the upper triangle and are cached by their per-identity counts; the
         asymmetric layout is built for its one mode and not kept.
         """
-        p_off = np.asarray(self.pool(probe_src)[1])
+        p_off = self.rows(probe_src)[2]
         if probe_src == ref_src:
             key = p_off.tobytes()
             if key not in self._symmetric_cells:
                 self._symmetric_cells[key] = _layout_cells(p_off, p_off, symmetric=True)
             return self._symmetric_cells[key]
-        return _layout_cells(p_off, np.asarray(self.pool(ref_src)[1]), symmetric=False)
+        return _layout_cells(p_off, self.rows(ref_src)[2], symmetric=False)
 
 
 def _layout_cells(p_off, r_off, symmetric):
@@ -252,7 +250,10 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
     ``embeddings`` is a list of :class:`Embedding` or an
     :class:`EmbeddingGroups` built from one; a list is grouped here, so
     scoring several modes of one set from one grouping gives the same
-    result as scoring each from the list.
+    result as scoring each from the list. Grouping fails a set of more than
+    one embedding dimension, even in a source the mode does not score. Both
+    preconditions, an identity with a genuine pair and an imposter pair,
+    name the mode when they fail.
 
     Genuine pairs are within-identity probe-reference pairs over distinct
     underlying images; underlying images are matched positionally within
@@ -287,24 +288,20 @@ def pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=1_000_
         gen = np.concatenate([b[rng.choice(b.size, size=pairs_per_id, replace=False)] if b.size > pairs_per_id
                               else b for b in blocks])
 
-    probes, refs = groups.pool(probe_src)[0], groups.pool(ref_src)[0]
-    shapes = sorted({e.vector.shape for e in probes} | {e.vector.shape for e in refs})
-    if len(shapes) > 1:
-        raise ValueError(f"embedding dimensions differ: {' vs '.join(map(str, shapes))}")
-    p, p_norm = groups.vectors(probe_src)
-    r, r_norm = groups.vectors(ref_src)
+    p, p_norm, _ = groups.rows(probe_src)
+    r, r_norm, _ = groups.rows(ref_src)
     p_zero, r_zero = p_norm == 0.0, r_norm == 0.0
 
     def check_norms(cells):
         if p_zero.any() or r_zero.any():
-            a, b = np.divmod(cells, len(refs))
+            a, b = np.divmod(cells, r.shape[0])
             if p_zero[a].any() or r_zero[b].any():
                 raise ValueError("cosine similarity is undefined for a zero-norm vector")
 
     check_norms(gen)
-    if len(groups.identities) < 2:
-        raise ValueError("imposter pairs require at least 2 identities")
     candidates = imp.size
+    if not candidates:
+        raise ValueError(f"no imposter pair for pairing mode {pairing!r}")
     if candidates > max_imposter:
         imp = imp[rng.choice(candidates, size=max_imposter, replace=False)]
     check_norms(imp)
@@ -413,38 +410,25 @@ _BETACF_EPS = 1e-14
 _BETACF_FPMIN = 1e-300
 
 
+def _off_zero(v):
+    return _BETACF_FPMIN if abs(v) < _BETACF_FPMIN else v
+
+
 def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz), one even and one odd half-step per term."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}")
@@ -467,16 +451,6 @@ def regularized_incomplete_beta(a, b, x):
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_two_sided_p(t, df):
-    """Two-sided p-value of Student's t via the regularized incomplete beta."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df}")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
 def welch_t_test(a, b):
     """Welch's unequal-variance t statistic, Welch-Satterthwaite df, 2-sided p.
 
@@ -496,7 +470,7 @@ def welch_t_test(a, b):
         raise ValueError("welch_t_test: both samples have zero variance")
     t = float((xa.mean() - xb.mean()) / math.sqrt(se2))
     df = se2 * se2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return t, float(df), student_t_two_sided_p(t, df)
+    return t, float(df), 1.0 if t == 0.0 else regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
 # ---------------------------------------------------------------------------

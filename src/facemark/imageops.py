@@ -73,8 +73,8 @@ class Transform:
             raise ValueError(f"unknown transform kind {self.kind!r}; expected one of {TRANSFORM_KINDS}")
         if self.kind in ("crop", "resize") and not (0.0 < self.factor <= 1.0):
             raise ValueError(f"{self.kind} ratio must lie in (0, 1], got {self.factor}")
-        if self.kind in ("brightness", "contrast") and not self.factor > 0.0:
-            raise ValueError(f"{self.kind} factor must be > 0, got {self.factor}")
+        if self.kind in ("brightness", "contrast") and not (0.0 < self.factor < np.inf):
+            raise ValueError(f"{self.kind} factor must be > 0 and finite, got {self.factor}")
         if self.kind == "jpeg":
             q = self.factor
             if not (1 <= q <= 100) or q != int(q):

@@ -99,8 +99,9 @@ class TrainConfig:
                 raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
         if not (0.0 < self.eps < math.inf):
             raise ValueError(f"eps must lie in (0, inf), got {self.eps}")
-        if self.recon_weight < 0 or self.decode_weight < 0:
-            raise ValueError("loss weights must be >= 0")
+        for key in ("recon_weight", "decode_weight"):
+            if not (0.0 <= getattr(self, key) < math.inf):
+                raise ValueError(f"{key} must lie in [0, inf), got {getattr(self, key)}")
         if not (0.0 <= self.p_aug <= 1.0):
             raise ValueError(f"p_aug must lie in [0, 1], got {self.p_aug}")
         bad = [k for k in self.aug_kinds if k not in _AUG_KINDS]
@@ -617,8 +618,9 @@ def run_verification(embeddings, options=VerifyOptions()):
 
     The embeddings are grouped once (:class:`bioeval.EmbeddingGroups`) and
     every mode is scored from that grouping by :func:`bioeval.pair_scores`.
-    A mode whose probe or reference source has no embeddings at all fails
-    before any mode is scored. The original-original mode is scored first,
+    A set of more than one embedding dimension fails at that grouping, and a
+    mode whose probe or reference source has no embeddings at all fails
+    right after it, before any mode is scored. The original-original mode is scored first,
     and only its genuine scores are kept past its reports; each other mode's
     score set lives only while its reports are built.
 
@@ -627,9 +629,6 @@ def run_verification(embeddings, options=VerifyOptions()):
     both), yields a report with an error record instead of failing the run;
     the t-test fields then stay ``None``.
     """
-    dims = {e.vector.shape[0] for e in embeddings}
-    if len(dims) > 1:
-        raise ValueError(f"embeddings have inconsistent dimensions: {sorted(dims)}")
     groups = bioeval.EmbeddingGroups(embeddings)
     for mode in options.modes:
         source = groups.missing_source(mode)

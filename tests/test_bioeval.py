@@ -63,8 +63,6 @@ def oracle_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter
     if not usable:
         raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
     identities = sorted(by_identity)
-    if len(identities) < 2:
-        raise ValueError("imposter pairs require at least 2 identities")
 
     probe_list = [(e, identity) for identity in identities for e in by_identity[identity].get(probe_src, [])]
     ref_list = [(e, identity) for identity in identities for e in by_identity[identity].get(ref_src, [])]
@@ -79,6 +77,8 @@ def oracle_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter
             for re_, rid in ref_list:
                 if pid != rid:
                     cross.append((pe, re_))
+    if not cross:
+        raise ValueError(f"no imposter pair for pairing mode {pairing!r}")
     candidates = len(cross)
     if candidates > max_imposter:
         idx = rng.choice(candidates, size=max_imposter, replace=False)
@@ -141,8 +141,6 @@ def index_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=
         raise ValueError(f"no identity has enough images for pairing mode {pairing!r}")
     score = _gram_scorer(probes, refs)
     genuine = score(np.concatenate(gen_a), np.concatenate(gen_b))
-    if len(identities) < 2:
-        raise ValueError("imposter pairs require at least 2 identities")
 
     p_id = np.repeat(np.arange(len(identities)), np.diff(p_off))
     if symmetric:
@@ -152,6 +150,8 @@ def index_pair_scores(embeddings, pairing, pairs_per_id=0, seed=0, max_imposter=
     else:
         r_id = np.repeat(np.arange(len(identities)), np.diff(r_off))
         a, b = np.nonzero(p_id[:, None] != r_id[None, :])
+    if not a.size:
+        raise ValueError(f"no imposter pair for pairing mode {pairing!r}")
     candidates = a.size
     if candidates > max_imposter:
         idx = rng.choice(candidates, size=max_imposter, replace=False)
@@ -359,10 +359,18 @@ class TestPairScores:
         with pytest.raises(ValueError, match="embedding dimensions differ"):
             be.pair_scores(embs, "original-original")
 
+    def test_dimension_mismatch_in_an_unscored_source_raises(self):
+        # The whole set has one dimension, as load_embeddings and run_verification require.
+        embs = make_embeddings(LAYOUTS["extra_source"])
+        embs.append(be.Embedding(np.ones(5), "id0", "augmented"))
+        for pairing in be.PAIRING_MODES:
+            with pytest.raises(ValueError, match=re.escape("embedding dimensions differ: (5,) vs (6,)")):
+                be.pair_scores(embs, pairing)
+
     def test_needs_usable_identity_and_two_identities(self):
         with pytest.raises(ValueError, match="no identity has enough images"):
             be.pair_scores(make_embeddings({"a": {"original": 1}, "b": {"original": 1}}), "original-original")
-        with pytest.raises(ValueError, match="at least 2 identities"):
+        with pytest.raises(ValueError, match="^no imposter pair for pairing mode 'original-original'$"):
             be.pair_scores(make_embeddings({"a": {"original": 3}}), "original-original")
         with pytest.raises(ValueError, match="unknown pairing mode"):
             be.pair_scores(make_embeddings(LAYOUTS["balanced"]), "original-marked")
@@ -628,6 +636,10 @@ class TestWelch:
         assert df == pytest.approx(ref.df, rel=1e-10)
         assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
+    def test_fixed_samples_repeat_their_bits(self):
+        t, df, p = be.welch_t_test([0.61, 0.58, 0.66, 0.63, 0.59, 0.64, 0.62], [0.55, 0.60, 0.52, 0.57, 0.58])
+        assert (t.hex(), df.hex(), p.hex()) == ("0x1.94ef32f5c720ep+1", "0x1.083a480900abep+3", "0x1.a3520a6a76117p-7")
+
     def test_rejects_degenerate_samples(self):
         with pytest.raises(ValueError):
             be.welch_t_test([1.0], [1.0, 2.0])
@@ -641,6 +653,19 @@ class TestIncompleteBeta:
     def test_matches_scipy(self, a, b):
         for x in (1e-6, 0.01, 0.2, 0.5, 0.77, 0.99, 1 - 1e-6):
             assert be.regularized_incomplete_beta(a, b, x) == pytest.approx(scipy.special.betainc(a, b, x), rel=1e-10)
+
+    # x < (a + 1) / (a + b + 2) takes the continued fraction in x, otherwise in 1 - x.
+    @pytest.mark.parametrize("a, b, x, bits", [
+        (0.5, 0.5, 0.3, "0x1.79ddc9edb550ap-2"),
+        (2.5, 3.0, 0.2, "0x1.a8f97c9f19923p-4"),
+        (10.0, 40.0, 0.05, "0x1.1675a35a1ef68p-13"),
+        (40.0, 2.5, 0.9, "0x1.03c27eda53ed3p-3"),
+        (150.0, 0.5, 0.999, "0x1.2b0f61bb7b63cp-1"),
+        (1.0, 3.0, 0.77, "0x1.f9c53f39d1b2ep-1"),
+        (0.5, 40.0, 0.2, "0x1.fffcaf4b0fdbcp-1"),
+    ])
+    def test_repeats_recorded_bits(self, a, b, x, bits):
+        assert be.regularized_incomplete_beta(a, b, x).hex() == bits
 
     def test_endpoints(self):
         assert be.regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
@@ -818,6 +843,22 @@ class TestVerification:
         monkeypatch.setattr(be, "pair_scores", None)  # any scoring call would raise TypeError
         with pytest.raises(ValueError, match="^pairing mode 'watermarked-original' needs 'watermarked' embeddings"):
             pipeline.run_verification(embeddings)
+
+    def test_a_set_of_two_dimensions_fails_before_scoring(self, monkeypatch):
+        embeddings = identity_embeddings(4, 3, seed=1) + [be.Embedding(np.ones(5), "id0000", "watermarked")]
+        monkeypatch.setattr(be, "pair_scores", None)  # any scoring call would raise TypeError
+        with pytest.raises(ValueError, match=re.escape("embedding dimensions differ: (5,) vs (8,)")):
+            pipeline.run_verification(embeddings)
+
+    def test_cli_without_an_imposter_pair_exits_2_naming_the_mode(self, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        be.save_embeddings(make_embeddings({"a": {"original": 2}, "b": {"watermarked": 2}}, dim=3), path)
+        config = tmp_path / "verify.cfg"
+        config.write_text("modes = original-original\n")
+        out = tmp_path / "reports.txt"
+        assert cli.cli_dispatch(["verify", "--config", str(config), "--embeddings", str(path), str(out)]) == 2
+        assert capsys.readouterr().err == "error: no imposter pair for pairing mode 'original-original'\n"
+        assert not out.exists()
 
 
 class TestVerifyOptions:

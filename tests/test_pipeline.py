@@ -164,10 +164,14 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
         ("train-wm", "image_size=4", "image_size"),
         ("train-wm", "image_size=0", "image_size"),
         ("train-wm", "checkpoint_interval=-3", "checkpoint_interval"),
+        ("train-wm", "recon_weight=nan", "recon_weight"),
+        ("train-wm", "decode_weight=inf", "decode_weight"),
+        ("train-wm", "brightness_range=1.0,inf", "brightness_range"),
         ("train-embedder", "lr=-1", "lr"),
         ("train-embedder", "lr=inf", "lr"),
         ("sweep", "jpeg_grid=50.5", "jpeg_grid"),
         ("sweep", "jpeg_grid=inf", "jpeg_grid"),
+        ("sweep", "contrast_grid=inf", "contrast_grid"),
         ("sweep", "sweep_kinds=crop,jpeg,crop", "sweep_kinds"),
         ("verify", "modes=original-original,original-original", "modes"),
         ("verify", "far_targets=0.1,0.1", "far_targets"),

@@ -32,3 +32,14 @@ def test_tracer_installs_and_restores_every_wrapper(tracer):
         assert imageops.apply_transform is not original
     assert tracer.installed_wrappers() == []
     assert imageops.apply_transform is original
+
+
+def test_pair_scores_spans_name_every_pairing_mode(tracer):
+    # The tracer names each span after pair_scores' second positional argument.
+    from _synth import identity_embeddings
+    from facemark import bioeval, pipeline
+
+    with tracer.Tracer() as trace:
+        pipeline.run_verification(identity_embeddings(4, 3, seed=1), pipeline.VerifyOptions(far_targets=(0.1,)))
+    names = {span[0] for span in trace.spans}
+    assert {f"bioeval.pair_scores.{mode}" for mode in bioeval.PAIRING_MODES} <= names
