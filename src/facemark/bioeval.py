@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import containers
+from . import containers, imageops
 from . import tensorgrad as tg
 
 __all__ = [
@@ -563,10 +563,8 @@ def _train_batch(model, config, images, labels):
 
 
 def _labelled_images(images, identities):
-    """``images`` as a float64 (M,C,H,W) stack with M >= 1, and one non-empty string label per image."""
-    data = np.asarray(images, dtype=np.float64)
-    if data.ndim != 4 or data.shape[0] == 0:
-        raise ValueError(f"images must be a non-empty (M,C,H,W) array, got shape {data.shape}")
+    """``images`` checked by :func:`imageops.require_images`, and one non-empty string label per image."""
+    data = imageops.require_images(images)
     labels = [str(v) for v in identities]
     if len(labels) != data.shape[0]:
         raise ValueError(f"{data.shape[0]} images but {len(labels)} identity labels")
@@ -578,9 +576,9 @@ def _labelled_images(images, identities):
 def train_embedder(images, identities, config=EmbedderTrainConfig()):
     """Train the small conv classifier with softmax cross-entropy.
 
-    ``images`` is (M, C, H, W); ``identities`` the per-image labels. The
-    returned model embeds through the penultimate affine layer. Also
-    returns the per-epoch mean training loss history. Each batch runs in
+    ``images`` pass :func:`imageops.require_images`; ``identities`` are their
+    labels. The returned model embeds through the penultimate affine layer.
+    Also returns the per-epoch mean training loss history. Each batch runs in
     :func:`_train_batch`, so at most one batch's graph is alive at a time.
     """
     data, labels = _labelled_images(images, identities)
@@ -615,9 +613,9 @@ def train_embedder(images, identities, config=EmbedderTrainConfig()):
 def embed_images(model, images, identities, source="original"):
     """Embeddings for a batch of images, tagging identity and source.
 
-    Images whose spatial size differs from the embedder's configured input
-    are bilinearly resized first. The batch runs in ``infer`` mode, on the
-    model's running statistics.
+    Images pass :func:`imageops.require_images`, and are bilinearly resized
+    first if not of the embedder's input size. The batch runs in ``infer``
+    mode, on the model's running statistics.
     """
     data, labels = _labelled_images(images, identities)
     size = model.config.image_size

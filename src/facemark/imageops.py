@@ -1,6 +1,10 @@
 """Image ingestion and the post-watermarking transformation suite.
 
-Images are C x H x W float64 arrays with pixels in [0, 1] (C is 1 or 3).
+Images are C x H x W float64 arrays with pixels in [0, 1] (C is 1 or 3), checked
+by :func:`require_images` (an (M, C, H, W) stack, M >= 1) or :func:`require_image`
+at every entry point that takes images: ``train_watermark``, ``run_sweep``,
+``train_embedder``, ``embed_images``, ``encode``, ``decode_logits``, ``extract``
+and :func:`apply_transform`.
 The transforms here serve double duty: evaluation attacks applied after
 watermarking (:func:`apply_transform`, one image) and training-time
 augmentations (a batch inside the training graph). Both go through
@@ -38,26 +42,37 @@ __all__ = [
     "apply_transform",
     "psnr",
     "require_image",
+    "require_images",
     "LUMA_WEIGHTS",
 ]
 
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
-TRANSFORM_KINDS = ("crop", "resize", "brightness", "contrast", "jpeg", "identity")
+TRANSFORM_KINDS = ("crop", "resize", "brightness", "contrast", "jpeg")
 
 
-def require_image(img, min_side=1):
-    """Validate a C x H x W image in [0, 1] and return it as float64."""
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] not in (1, 3):
-        raise ValueError(f"image must be CxHxW with C in {{1,3}}, got shape {arr.shape}")
-    if arr.shape[1] < min_side or arr.shape[2] < min_side:
-        raise ValueError(f"image {arr.shape[1]}x{arr.shape[2]} is smaller than {min_side} pixels per side")
+def require_images(images, min_side=1):
+    """Check an (M, C, H, W) stack: M >= 1, C in {1, 3}, sides >= ``min_side``, finite, in [0, 1]; return as float64."""
+    arr = np.asarray(images, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[0] == 0:
+        raise ValueError(f"images must be a non-empty (M,C,H,W) stack, got shape {arr.shape}")
+    if arr.shape[1] not in (1, 3):
+        raise ValueError(f"image must be CxHxW with C in {{1,3}}, got shape {arr.shape[1:]}")
+    if arr.shape[2] < min_side or arr.shape[3] < min_side:
+        raise ValueError(f"image {arr.shape[2]}x{arr.shape[3]} is smaller than {min_side} pixels per side")
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains NaN or Inf")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("image pixels must lie in [0, 1]")
     return arr
+
+
+def require_image(img, min_side=1):
+    """Check one C x H x W image by the rule of :func:`require_images`; return it as float64."""
+    arr = np.asarray(img, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"image must be CxHxW with C in {{1,3}}, got shape {arr.shape}")
+    return require_images(arr[None], min_side)[0]
 
 
 @dataclass(frozen=True)
@@ -355,13 +370,11 @@ def transform_batch(x, kind, factor, rng):
     if kind == "jpeg":
         quality = int(factor)
         return tg.straight_through(x, lambda batch: np.stack([jpeg_roundtrip(img, quality) for img in batch]))
-    if kind == "identity":
-        return x
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
 def apply_transform(img, transform):
-    """Apply a :class:`Transform` to one image; a crop draws its offsets from ``transform.seed``."""
+    """Apply a :class:`Transform` to one image (checked by :func:`require_image`), crop offsets from ``transform.seed``."""
     t = transform
     x = tg.leaf(require_image(img)[None])
     return transform_batch(x, t.kind, t.factor, np.random.default_rng(t.seed)).value[0]

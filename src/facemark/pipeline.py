@@ -50,8 +50,6 @@ __all__ = [
 HISTORY_HEADER = "step,recon_loss,decode_loss,bit_acc,psnr"
 SWEEP_HEADER = "kind,factor,mean_bit_acc,std,n"
 
-_AUG_KINDS = tuple(kind for kind in imageops.TRANSFORM_KINDS if kind != "identity")
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -104,10 +102,10 @@ class TrainConfig:
                 raise ValueError(f"{key} must lie in [0, inf), got {getattr(self, key)}")
         if not (0.0 <= self.p_aug <= 1.0):
             raise ValueError(f"p_aug must lie in [0, 1], got {self.p_aug}")
-        bad = [k for k in self.aug_kinds if k not in _AUG_KINDS]
+        bad = [k for k in self.aug_kinds if k not in imageops.TRANSFORM_KINDS]
         if bad:
-            raise ValueError(f"unknown augmentation kinds {bad}; expected subset of {_AUG_KINDS}")
-        for kind in _AUG_KINDS:
+            raise ValueError(f"unknown augmentation kinds {bad}; expected subset of {imageops.TRANSFORM_KINDS}")
+        for kind in imageops.TRANSFORM_KINDS:
             lo, hi = getattr(self, f"{kind}_range")
             try:
                 if lo > hi:
@@ -188,7 +186,7 @@ class SweepSpec:
     over six factors each, 30 cells.
     """
 
-    sweep_kinds: tuple[str, ...] = _AUG_KINDS
+    sweep_kinds: tuple[str, ...] = imageops.TRANSFORM_KINDS
     crop_grid: tuple[float, ...] = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75)
     resize_grid: tuple[float, ...] = (1.0, 0.95, 0.9, 0.85, 0.8, 0.75)
     brightness_grid: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
@@ -201,10 +199,10 @@ class SweepSpec:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         _reject_repeats("sweep_kinds", self.sweep_kinds)
-        bad = [k for k in self.sweep_kinds if k not in _AUG_KINDS]
+        bad = [k for k in self.sweep_kinds if k not in imageops.TRANSFORM_KINDS]
         if bad:
-            raise ValueError(f"sweep_kinds has unknown kinds {bad}; expected a subset of {_AUG_KINDS}")
-        for kind in _AUG_KINDS:
+            raise ValueError(f"sweep_kinds has unknown kinds {bad}; expected a subset of {imageops.TRANSFORM_KINDS}")
+        for kind in imageops.TRANSFORM_KINDS:
             for factor in getattr(self, f"{kind}_grid"):
                 try:
                     imageops.Transform(kind=kind, factor=float(factor))
@@ -382,7 +380,7 @@ def _train_step(model, config, data, rng):
 
 
 def train_watermark(config, images, model=None, checkpoint_dir=None):
-    """Joint encoder/decoder training on random messages.
+    """Joint encoder/decoder training on random messages; ``images`` pass :func:`imageops.require_images`, match the config.
 
     Per step: sample a batch, embed a fresh random message per image, with
     probability ``p_aug`` push the watermarked batch through one randomly
@@ -401,17 +399,13 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
     from ``config.seed``, so training a loaded ``model`` restarts Adam's
     bias correction at t=1 rather than resuming the run.
     """
-    data = np.asarray(images, dtype=np.float64)
-    if data.ndim != 4 or data.shape[0] == 0:
-        raise ValueError(f"training images must be a non-empty (M,C,H,W) array, got shape {data.shape}")
+    data = imageops.require_images(images)
     _, c, h, w_ = data.shape
     if c != config.image_channels or h != config.image_size or w_ != config.image_size:
         raise ValueError(
             f"training images are {c}x{h}x{w_}, config expects "
             f"{config.image_channels}x{config.image_size}x{config.image_size}"
         )
-    if data.min() < 0.0 or data.max() > 1.0:
-        raise ValueError("training images must lie in [0, 1]")
 
     if model is None:
         model = wm.build_model(config.model_config(), seed=config.seed)
@@ -539,7 +533,7 @@ def _derive_seed(base_seed, *coordinates):
 
 
 def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
-    """Bit accuracy per (transform kind, factor) cell over a fixed message.
+    """Bit accuracy per (transform kind, factor) cell over a fixed message, on :func:`imageops.require_images` images.
 
     Every image is watermarked once; each cell applies its transform (with
     a per-cell derived seed for random crops) and decodes. A failing cell
@@ -554,11 +548,8 @@ def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
     """
     msg = msgcodec.validate_message(message, model.config.message_length)
     if isinstance(images_or_manifest, DatasetManifest):
-        images = load_manifest_images(images_or_manifest, model.config.image_channels)
-    else:
-        images = np.asarray(images_or_manifest, dtype=np.float64)
-    if images.ndim != 4 or images.shape[0] == 0:
-        raise ValueError("sweep needs a non-empty (M,C,H,W) image stack")
+        images_or_manifest = load_manifest_images(images_or_manifest, model.config.image_channels)
+    images = imageops.require_images(images_or_manifest)
 
     marked = tg.map_ordered(lambda image: wm.encode(model, image, msg), images)
 

@@ -679,8 +679,8 @@ def resize_bilinear(x, out_h, out_w):
 def adjust_brightness(x, factor):
     """clamp(factor * x, 0, 1); gradient passes on the closed interval."""
     x = _as_node(x)
-    if factor <= 0:
-        raise ValueError(f"adjust_brightness: factor must be > 0, got {factor}")
+    if not (0.0 < factor < np.inf):
+        raise ValueError(f"adjust_brightness: factor must be > 0 and finite, got {factor}")
     out = np.clip(factor * x.value, 0.0, 1.0)
 
     def vjp(g):
@@ -697,8 +697,8 @@ def adjust_contrast(x, factor, channel_weights):
     mu = sum_c w_c * mean_hw(x[c]); the mean itself is differentiated.
     """
     x = _as_node(x)
-    if factor <= 0:
-        raise ValueError(f"adjust_contrast: factor must be > 0, got {factor}")
+    if not (0.0 < factor < np.inf):
+        raise ValueError(f"adjust_contrast: factor must be > 0 and finite, got {factor}")
     n, c, h, w = x.value.shape
     wts = np.asarray(channel_weights, dtype=np.float64)
     if wts.shape != (c,):

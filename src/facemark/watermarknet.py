@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import containers, msgcodec
+from . import containers, imageops, msgcodec
 from . import tensorgrad as tg
 
 __all__ = [
@@ -134,24 +134,20 @@ def forward_decoder(model, images, mode="train"):
 
 
 def encode(model, image, message):
-    """Embed a message into one C x H x W image with the stored batchnorm statistics; output shape equals input."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError(f"encode expects a CxHxW image, got shape {img.shape}")
+    """Embed a message into one image (:func:`imageops.require_image`) on the stored batchnorm statistics; same shape out."""
+    img = imageops.require_image(image)
     msg = msgcodec.validate_message(message, model.config.message_length)
     return forward_encoder(model, img[None], msg[None].astype(np.float64), mode="infer").value[0]
 
 
 def decode_logits(model, image):
-    """Raw per-bit logits for one image of any spatial size >= 8, with the stored batchnorm statistics."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise ValueError(f"decode_logits expects a CxHxW image, got shape {img.shape}")
+    """Raw per-bit logits for one image (:func:`imageops.require_image`, sides >= 8) on the stored batchnorm statistics."""
+    img = imageops.require_image(image)
     return forward_decoder(model, img[None], mode="infer").value[0]
 
 
 def extract(model, image):
-    """Hard bit decisions for one image (inference-mode decoding)."""
+    """Hard bit decisions for one :func:`imageops.require_image` image (inference-mode decoding)."""
     return msgcodec.logits_to_message(decode_logits(model, image))
 
 

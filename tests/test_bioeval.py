@@ -1011,6 +1011,19 @@ class TestEmbedImages:
         with pytest.raises(ValueError, match="every image needs a non-empty identity label"):
             be.train_embedder(images, labels)  # its class labels would not load back
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["a", "a", "a", "a"], "training requires at least 2 identities, got 1"),
+            (["a", "a", "a", "b"], "every identity needs >= 2 images; too few for: b"),
+            (["a", "a", "b"], "4 images but 3 identity labels"),
+        ],
+        ids=["one-identity", "single-image-identity", "label-count-mismatch"],
+    )
+    def test_train_embedder_rejects_a_training_set_it_cannot_learn_from(self, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            be.train_embedder(self.images(count=4)[0], labels)
+
     def test_other_sizes_are_resized_first(self):
         model = be.load_embedder(DATA / "golden_embedder.emb")
         images, labels = self.images(size=24)

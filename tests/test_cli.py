@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from _synth import identity_images, texture_images
-from facemark import cli, imageops, pipeline
+from facemark import cli, imageops, msgcodec, pipeline
 from facemark import watermarknet as wm
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -153,6 +153,41 @@ def test_sweep_exits_0_and_writes_one_row_per_cell(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 3  # header + three cells
 
 
+def test_embed_then_extract_exits_0_and_prints_the_bits_the_library_extracts(tmp_path, capsys):
+    model = ["--model", DATA / "golden_model.wmf"]
+    imageops.save_ppm(texture_images(1, 16, seed=7)[0], tmp_path / "in.ppm")
+    code, _, err = _dispatch(capsys, "embed", *model, "--message", "01100110", tmp_path / "in.ppm", tmp_path / "out.ppm")
+    assert code == 0, err
+    code, out, err = _dispatch(capsys, "extract", *model, tmp_path / "out.ppm")
+    assert code == 0, err
+    bits = wm.extract(wm.load_model(DATA / "golden_model.wmf"), imageops.load_ppm(tmp_path / "out.ppm"))
+    assert out == msgcodec.format_bits(bits) + "\n"
+
+
+def test_watermark_dataset_prints_each_skipped_image_and_exits_0(tmp_path, capsys):
+    manifest = _manifest(tmp_path, texture_images(10, 16, seed=8), [f"id{i % 2}" for i in range(10)])
+    (tmp_path / "img3.ppm").write_bytes(b"not an image")  # one in ten stays under the 10% abort
+    code, out, err = _dispatch(
+        capsys, "watermark-dataset", "--model", DATA / "golden_model.wmf", "--message", "01100110", manifest,
+        tmp_path / "out",
+    )
+    assert code == 0, err
+    assert err.startswith(f"skipped {tmp_path / 'img3.ppm'}: ") and err.count("skipped") == 1
+    assert out.startswith("written: 9\n")
+
+
+def test_sweep_prints_a_failed_cell_and_exits_0(tmp_path, capsys):
+    manifest = _manifest(tmp_path, texture_images(2, 16, seed=9), ["a", "b"])
+    (tmp_path / "sweep.cfg").write_text("sweep_kinds=crop\ncrop_grid=0.4\n", encoding="utf-8")
+    code, _, err = _dispatch(
+        capsys, "sweep", "--config", tmp_path / "sweep.cfg", "--model", DATA / "golden_model.wmf", "--message",
+        "01100110", manifest, tmp_path / "sweep.csv",
+    )
+    assert code == 0, err
+    # crop 0.4 leaves 6x6 pixels, below the decoder's minimum
+    assert err == "cell (crop, 0.4) failed: decoder needs at least 8x8 pixels, got 6x6\n"
+
+
 def test_help_exits_0(capsys):
     code, out, _ = _dispatch(capsys, "--help")
     assert code == 0 and "watermark-dataset" in out
@@ -164,8 +199,10 @@ def test_help_exits_0(capsys):
         ([], "missing subcommand"),
         (["extract", "--model", "m.wmf", "--bogus", "in.ppm"], "--bogus"),
         (["extract", "in.ppm"], "--model"),
+        (["verify", "--embeddings", "e.txt", "a.txt", "out.txt"], "with --embeddings, pass only the output report path"),
+        (["verify", "--embedder", "e.emb", "out.txt"], "with --embedder, pass at least one manifest and the output"),
     ],
-    ids=["no-subcommand", "unknown-flag", "missing-required"],
+    ids=["no-subcommand", "unknown-flag", "missing-required", "verify-embeddings-paths", "verify-embedder-paths"],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
     code, _, err = _dispatch(capsys, *argv)

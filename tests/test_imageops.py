@@ -1,14 +1,20 @@
-"""PPM I/O, attack transforms, the JPEG quantization round trip, PSNR."""
+"""PPM I/O, attack transforms, the JPEG quantization round trip, PSNR, and the
+image rule at every entry point that takes images."""
 
 import io
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facemark import bioeval, pipeline
 from facemark import imageops as iops
 from facemark import tensorgrad as tg
+from facemark import watermarknet as wm
 from _synth import sum_all, texture_images
 
 
@@ -288,10 +294,6 @@ class TestJpeg:
 
 
 class TestApplyTransform:
-    def test_identity(self):
-        img = texture_images(1, 9, seed=17)[0]
-        np.testing.assert_array_equal(iops.apply_transform(img, iops.Transform("identity")), img)
-
     def test_crop_dispatch_size(self):
         img = np.zeros((3, 40, 40))
         out = iops.apply_transform(img, iops.Transform("crop", 0.95, seed=1))
@@ -330,7 +332,7 @@ class TestApplyTransform:
 
 
 # One factor per kind that changes the image.
-KIND_FACTORS = [("crop", 0.7), ("resize", 0.7), ("brightness", 1.8), ("contrast", 2.2), ("jpeg", 80), ("identity", 1.0)]
+KIND_FACTORS = [("crop", 0.7), ("resize", 0.7), ("brightness", 1.8), ("contrast", 2.2), ("jpeg", 80)]
 
 
 class TestTransformBatch:
@@ -345,7 +347,7 @@ class TestTransformBatch:
         for i, img in enumerate(images):
             np.testing.assert_array_equal(out.value[i], transform(img, kind, factor, seed=7))
 
-    @pytest.mark.parametrize("kind", ["crop", "resize", "contrast", "identity"])
+    @pytest.mark.parametrize("kind", ["crop", "resize", "contrast"])
     def test_factor_one_returns_the_input_node(self, kind):
         x = tg.leaf(texture_images(3, 12, seed=22))
         rng = np.random.default_rng(0)
@@ -365,7 +367,7 @@ class TestTransformBatch:
         np.testing.assert_array_equal(out.value, x.value[:, :, top : top + 8, left : left + 8])
         assert rng.random() == twin.random()
 
-    @pytest.mark.parametrize("kind, factor", KIND_FACTORS[:-1], ids=[k for k, _ in KIND_FACTORS[:-1]])
+    @pytest.mark.parametrize("kind, factor", KIND_FACTORS, ids=[k for k, _ in KIND_FACTORS])
     def test_gradient_reaches_the_input(self, kind, factor):
         x = tg.parameter(texture_images(2, 16, seed=25))
         tg.backward(sum_all(iops.transform_batch(x, kind, factor, np.random.default_rng(1))))
@@ -398,3 +400,83 @@ class TestPsnr:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             iops.psnr(np.zeros((3, 2, 2)), np.zeros((3, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the image rule, at every entry point that takes images
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+MESSAGE = [0, 1, 1, 0, 0, 1, 1, 0]  # the golden model carries 8 bits
+STACK = texture_images(4, 16, seed=26)
+LABELS = ["a", "a", "b", "b"]  # a set train_embedder accepts
+TINY_TRAIN = pipeline.TrainConfig(
+    steps=1, batch_size=2, image_size=16, message_length=8, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+)
+
+
+@pytest.fixture(scope="module")
+def models():
+    return wm.load_model(DATA / "golden_model.wmf"), bioeval.load_embedder(DATA / "golden_embedder.emb")
+
+
+def _with_pixel(images, value):
+    bad = images.copy()
+    bad[(0,) * bad.ndim] = value
+    return bad
+
+
+# Each entry point, called with (the golden watermark model and embedder, the images).
+STACK_ENTRY_POINTS = {
+    "train_watermark": lambda m, x: pipeline.train_watermark(TINY_TRAIN, x),
+    "run_sweep": lambda m, x: pipeline.run_sweep(m[0], x, MESSAGE),
+    "train_embedder": lambda m, x: bioeval.train_embedder(x, LABELS),
+    "embed_images": lambda m, x: bioeval.embed_images(m[1], x, LABELS),
+}
+IMAGE_ENTRY_POINTS = {
+    "encode": lambda m, x: wm.encode(m[0], x, MESSAGE),
+    "decode_logits": lambda m, x: wm.decode_logits(m[0], x),
+    "extract": lambda m, x: wm.extract(m[0], x),
+    "apply_transform": lambda m, x: iops.apply_transform(x, iops.Transform("crop", 0.9)),
+}
+STACK_CASES = {
+    "nan": (_with_pixel(STACK, math.nan), "image contains NaN or Inf"),
+    "above-one": (_with_pixel(STACK, 1.5), "image pixels must lie in [0, 1]"),
+    "below-zero": (_with_pixel(STACK, -0.1), "image pixels must lie in [0, 1]"),
+    "two-channels": (STACK[:, :2], "image must be CxHxW with C in {1,3}, got shape (2, 16, 16)"),
+    "wrong-ndim": (STACK[0], "images must be a non-empty (M,C,H,W) stack, got shape (3, 16, 16)"),
+    "empty": (STACK[:0], "images must be a non-empty (M,C,H,W) stack, got shape (0, 3, 16, 16)"),
+}
+IMAGE_CASES = {
+    "nan": (_with_pixel(STACK[0], math.nan), "image contains NaN or Inf"),
+    "above-one": (_with_pixel(STACK[0], 1.5), "image pixels must lie in [0, 1]"),
+    "below-zero": (_with_pixel(STACK[0], -0.1), "image pixels must lie in [0, 1]"),
+    "two-channels": (STACK[0, :2], "image must be CxHxW with C in {1,3}, got shape (2, 16, 16)"),
+    "wrong-ndim": (STACK, "image must be CxHxW with C in {1,3}, got shape (4, 3, 16, 16)"),
+}
+
+
+class TestImageRule:
+    """``require_images`` is the one check of an image's shape, channels, finiteness and range."""
+
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    @pytest.mark.parametrize("entry", list(STACK_ENTRY_POINTS))
+    def test_a_stack_entry_point_raises_the_rule_message(self, models, entry, case):
+        images, message = STACK_CASES[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            STACK_ENTRY_POINTS[entry](models, images)
+
+    @pytest.mark.parametrize("case", list(IMAGE_CASES))
+    @pytest.mark.parametrize("entry", list(IMAGE_ENTRY_POINTS))
+    def test_an_image_entry_point_raises_the_rule_message(self, models, entry, case):
+        image, message = IMAGE_CASES[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            IMAGE_ENTRY_POINTS[entry](models, image)
+
+    def test_a_float64_stack_is_returned_without_a_copy(self):
+        assert iops.require_images(STACK) is STACK
+        np.testing.assert_array_equal(iops.require_image(STACK[0]), STACK[0])
+
+    def test_min_side_applies_to_both_sides(self):
+        with pytest.raises(ValueError, match=re.escape("image 16x7 is smaller than 8 pixels per side")):
+            iops.require_images(STACK[:, :, :, :7], min_side=8)

@@ -446,6 +446,30 @@ def test_a_forked_child_sweeps_after_its_parent_has_mapped(conv_workers, tiny_mo
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
 
 
+@pytest.mark.parametrize(
+    "channels, size, message",
+    [(3, 12, "training images are 3x12x12, config expects 3x16x16"),
+     (1, 16, "training images are 1x16x16, config expects 3x16x16")],
+    ids=["size", "channels"],
+)
+def test_train_watermark_rejects_images_the_config_does_not_describe(channels, size, message):
+    from _synth import texture_images
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipeline.train_watermark(TINY_CONFIG, texture_images(2, size, seed=1, channels=channels))
+
+
+def test_load_manifest_images_rejects_mixed_sizes(tmp_path):
+    from _synth import texture_images
+    from facemark import imageops
+
+    imageops.save_ppm(texture_images(1, 16, seed=1)[0], tmp_path / "a.ppm")
+    imageops.save_ppm(texture_images(1, 12, seed=2)[0], tmp_path / "b.ppm")
+    (tmp_path / "manifest.csv").write_text("a.ppm,x\nb.ppm,y\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("manifest images have mixed shapes: [(3, 12, 12), (3, 16, 16)]")):
+        pipeline.load_manifest_images(pipeline.load_manifest(tmp_path / "manifest.csv"))
+
+
 @pytest.mark.parametrize("second", ["img0.ppm", "./img0.ppm", "sub/../img0.ppm"])
 def test_load_manifest_rejects_an_image_listed_twice(tmp_path, second):
     from _synth import texture_images

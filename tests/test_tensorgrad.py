@@ -1247,6 +1247,16 @@ class TestAugmentationOps:
         tg.backward(sum_all(tg.adjust_contrast(x, 3.0, [1.0])))
         np.testing.assert_array_equal(x.grad.ravel(), [0.0, 0.0])
 
+    @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
+    def test_brightness_rejects_a_factor_outside_zero_to_inf(self, factor):
+        with pytest.raises(ValueError, match=f"adjust_brightness: factor must be > 0 and finite, got {factor}"):
+            tg.adjust_brightness(tg.leaf(np.array([0.0, 0.5]).reshape(1, 1, 1, 2)), factor)
+
+    @pytest.mark.parametrize("factor", [0.0, math.nan, math.inf])
+    def test_contrast_rejects_a_factor_outside_zero_to_inf(self, factor):
+        with pytest.raises(ValueError, match=f"adjust_contrast: factor must be > 0 and finite, got {factor}"):
+            tg.adjust_contrast(tg.leaf(np.array([0.0, 0.5]).reshape(1, 1, 1, 2)), factor, [1.0])
+
     def test_straight_through_passes_gradient(self):
         x = tg.parameter(np.linspace(0.1, 0.9, 12).reshape(1, 3, 2, 2))
         out = tg.straight_through(x, lambda arr: np.round(arr * 4) / 4)
