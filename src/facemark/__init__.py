@@ -14,7 +14,8 @@ Modules by concern:
   t-test, and the toy embedder;
 * :mod:`facemark.pipeline` — training loops, dataset watermarking, sweeps
   and verification reports;
-* :mod:`facemark.cli` — the ``facemark`` command-line tool.
+* :mod:`facemark.cli` — the ``facemark`` command-line tool, which the
+  package does not import: ``python -m facemark`` runs it.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to ``1`` in ``os.environ``, overriding any value
@@ -34,11 +35,10 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ[_var] = "1"
 
-from . import bioeval, cli, containers, imageops, msgcodec, pipeline, tensorgrad, watermarknet
+from . import bioeval, containers, imageops, msgcodec, pipeline, tensorgrad, watermarknet
 
 __all__ = [
     "bioeval",
-    "cli",
     "containers",
     "imageops",
     "msgcodec",

@@ -489,10 +489,7 @@ class EmbedderConfig:
     class_labels: tuple[str, ...] | None = None  # required: num_classes distinct non-empty strings
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.num_classes < 2:
-            raise ValueError("embed_dim must be >= 1 and num_classes >= 2")
-        if self.base_channels < 1 or self.image_size < 8:
-            raise ValueError("base_channels must be >= 1 and image_size >= 8")
+        containers.require_at_least(self, embed_dim=1, num_classes=2, base_channels=1, image_size=8)
         if self.image_channels not in (1, 3):
             raise ValueError(f"image_channels must be 1 or 3, got {self.image_channels}")
         labels = self.class_labels
@@ -515,9 +512,7 @@ class EmbedderTrainConfig:
 
     def __post_init__(self):
         # batch_size >= 2: train_embedder skips one-sample batches, as batch statistics need two.
-        for key, low in (("embed_dim", 1), ("base_channels", 1), ("epochs", 1), ("batch_size", 2)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        containers.require_at_least(self, embed_dim=1, base_channels=1, epochs=1, batch_size=2)
         if not (0.0 < self.lr < math.inf):
             raise ValueError(f"lr must lie in (0, inf), got {self.lr}")
 

@@ -23,6 +23,9 @@ in ``ParamSet.stats``. A Conv-BN-ReLU block ``<block>`` has
 ``<block>.conv.weight/bias``, ``<block>.bn.gamma/beta`` and
 ``<block>.bn.running_mean/var``. Only a trained model, whose every slot
 holds statistics, can be saved, and a file must hold them all to load.
+
+Every config dataclass, whether read from a header or a config file, checks its
+integer floors with :func:`require_at_least` and its one message.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from typing import Any, get_type_hints
 
 import numpy as np
 
-__all__ = ["Model", "write_container", "read_container", "build_config", "save_model", "load_model", "read_lines",
-           "write_lines"]
+__all__ = ["Model", "write_container", "read_container", "build_config", "require_at_least", "save_model", "load_model",
+           "read_lines", "write_lines"]
 
 
 @dataclass
@@ -124,6 +127,14 @@ def build_config(path, cls, config):
         return cls(**config)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config block: {exc}") from exc
+
+
+def require_at_least(config, **floors):
+    """Raise ``<field> must be >= <floor>, got <value>`` for the first field, in argument order, below its floor."""
+    for key, floor in floors.items():
+        value = getattr(config, key)
+        if value < floor:
+            raise ValueError(f"{key} must be >= {floor}, got {value}")
 
 
 def _manifest_entry(path, entry):

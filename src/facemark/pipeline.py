@@ -68,11 +68,7 @@ class TrainConfig:
     encoder_blocks: int = 4
     decoder_blocks: int = 7
     recon_weight: float = 1.0
-    decode_weight: float = 1.0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     p_aug: float = 0.5
     aug_kinds: tuple[str, ...] = ("crop", "resize", "jpeg")
     crop_range: tuple[float, float] = (0.75, 1.0)
@@ -86,20 +82,11 @@ class TrainConfig:
     def __post_init__(self):
         self.model_config()  # validates the architecture fields
         # image_size before the crop and resize ranges, which also bound the decoder's input side
-        for key, low in (("steps", 1), ("batch_size", 1), ("image_size", wm.MIN_DECODE_SIDE),
-                         ("checkpoint_interval", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        containers.require_at_least(self, steps=1, batch_size=1, image_size=wm.MIN_DECODE_SIDE, checkpoint_interval=0)
         if not (0.0 < self.lr < math.inf):
             raise ValueError(f"lr must lie in (0, inf), got {self.lr}")
-        for key in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, key) < 1.0):
-                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
-        if not (0.0 < self.eps < math.inf):
-            raise ValueError(f"eps must lie in (0, inf), got {self.eps}")
-        for key in ("recon_weight", "decode_weight"):
-            if not (0.0 <= getattr(self, key) < math.inf):
-                raise ValueError(f"{key} must lie in [0, inf), got {getattr(self, key)}")
+        if not (0.0 <= self.recon_weight < math.inf):
+            raise ValueError(f"recon_weight must lie in [0, inf), got {self.recon_weight}")
         if not (0.0 <= self.p_aug <= 1.0):
             raise ValueError(f"p_aug must lie in [0, 1], got {self.p_aug}")
         bad = [k for k in self.aug_kinds if k not in imageops.TRANSFORM_KINDS]
@@ -196,8 +183,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        containers.require_at_least(self, repetitions=1)
         _reject_repeats("sweep_kinds", self.sweep_kinds)
         bad = [k for k in self.sweep_kinds if k not in imageops.TRANSFORM_KINDS]
         if bad:
@@ -230,24 +216,19 @@ class VerifyOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_imposter < 1:
-            raise ValueError(f"verify config: max_imposter must be >= 1, got {self.max_imposter}")
-        if self.pairs_per_id < 0:
-            raise ValueError(f"verify config: pairs_per_id must be >= 0, got {self.pairs_per_id}")
+        containers.require_at_least(self, max_imposter=1, pairs_per_id=0)
         if not self.far_targets:
-            raise ValueError("verify config: far_targets must not be empty")
-        _reject_repeats("verify config: far_targets", self.far_targets)
-        _reject_repeats("verify config: modes", self.modes)
+            raise ValueError("far_targets must not be empty")
+        _reject_repeats("far_targets", self.far_targets)
+        _reject_repeats("modes", self.modes)
         for far in self.far_targets:
             if not (0.0 < far <= 1.0):
-                raise ValueError(f"verify config: far_targets values must lie in (0, 1], got {far}")
+                raise ValueError(f"far_targets values must lie in (0, 1], got {far}")
         if not self.modes:
-            raise ValueError("verify config: modes must not be empty")
+            raise ValueError("modes must not be empty")
         for mode in self.modes:
             if mode not in bioeval.PAIRING_MODES:
-                raise ValueError(
-                    f"verify config: modes has unknown pairing mode {mode!r}; expected one of {bioeval.PAIRING_MODES}"
-                )
+                raise ValueError(f"modes has unknown pairing mode {mode!r}; expected one of {bioeval.PAIRING_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +338,14 @@ def _train_step(model, config, data, rng):
             decoded_input = _apply_training_augmentation(watermarked, kind, config, rng)
     logits = wm.forward_decoder(model, decoded_input, mode="train")
     decode = tg.bce_logits_loss(logits, msgs)
-    total = tg.add(tg.scale(recon, config.recon_weight), tg.scale(decode, config.decode_weight))
+    total = tg.add(tg.scale(recon, config.recon_weight), decode)
     if not np.isfinite(total.value):
         raise RuntimeError(
             f"training diverged at step {model.step + 1}: "
             f"recon={float(recon.value)}, decode={float(decode.value)}"
         )
     tg.backward(total)
-    tg.adam_step(model.params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    tg.adam_step(model.params, lr=config.lr)
     model.step += 1
 
     decisions = (logits.value > 0.0).astype(np.float64)
@@ -386,8 +367,8 @@ def train_watermark(config, images, model=None, checkpoint_dir=None):
     probability ``p_aug`` push the watermarked batch through one randomly
     drawn augmentation (the sweep's transforms, through
     :func:`imageops.transform_batch`), decode, and take an Adam step on
-    ``recon_weight * mse + decode_weight * bce``. Reconstruction loss always
-    compares the pre-transform watermarked batch with the input batch.
+    ``recon_weight * mse + bce``. Reconstruction loss always compares the
+    pre-transform watermarked batch with the input batch.
 
     Returns the model and a per-step metrics history (also carrying the
     total loss for bookkeeping beyond the CSV schema). Each step runs in
@@ -533,7 +514,7 @@ def _derive_seed(base_seed, *coordinates):
 
 
 def run_sweep(model, images_or_manifest, message, spec=SweepSpec()):
-    """Bit accuracy per (transform kind, factor) cell over a fixed message, on :func:`imageops.require_images` images.
+    """Bit accuracy per (transform kind, factor) cell over a fixed message, on an image stack or a manifest's images.
 
     Every image is watermarked once; each cell applies its transform (with
     a per-cell derived seed for random crops) and decodes. A failing cell

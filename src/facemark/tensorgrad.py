@@ -390,6 +390,9 @@ def conv2d(x, weight, bias, pad=0):
 
 _BN_EPS = 1e-5  # added to the variance before its square root
 _BN_MOMENTUM = 0.1  # the new batch's weight in the running statistics
+_ADAM_BETA1 = 0.9  # decay of Adam's first-moment average
+_ADAM_BETA2 = 0.999  # decay of Adam's second-moment average
+_ADAM_EPS = 1e-8  # added to the corrected second moment's square root
 
 
 @dataclass
@@ -966,24 +969,24 @@ def init_params(layout, rng=None):
     return params
 
 
-def adam_step(params: ParamSet, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; gradients are cleared afterward."""
+def adam_step(params: ParamSet, lr=1e-3):
+    """One bias-corrected Adam update at ``lr`` (beta1 0.9, beta2 0.999, eps 1e-8); gradients are cleared afterward."""
     for name, node in params.items():
         if node.grad is None:
             raise ValueError(f"adam_step: parameter {name!r} has no gradient")
         if node.grad.shape != node.value.shape:
             raise ValueError(f"adam_step: gradient shape mismatch on {name!r}")
     t = params.step_count + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - _ADAM_BETA1**t
+    c2 = 1.0 - _ADAM_BETA2**t
     for name, node in params.items():
         g = node.grad
         m1 = params._m1[name]
         m2 = params._m2[name]
-        m1 *= beta1
-        m1 += (1.0 - beta1) * g
-        m2 *= beta2
-        m2 += (1.0 - beta2) * (g * g)
-        node.value -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + eps)
+        m1 *= _ADAM_BETA1
+        m1 += (1.0 - _ADAM_BETA1) * g
+        m2 *= _ADAM_BETA2
+        m2 += (1.0 - _ADAM_BETA2) * (g * g)
+        node.value -= lr * (m1 / c1) / (np.sqrt(m2 / c2) + _ADAM_EPS)
         node.grad = None
     params.step_count = t

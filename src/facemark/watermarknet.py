@@ -56,8 +56,7 @@ class WatermarkConfig:
     def __post_init__(self):
         if not (1 <= self.message_length <= 256):
             raise ValueError(f"message_length must lie in [1, 256], got {self.message_length}")
-        if self.base_channels < 1 or self.encoder_blocks < 1 or self.decoder_blocks < 1:
-            raise ValueError("base_channels, encoder_blocks and decoder_blocks must be >= 1")
+        containers.require_at_least(self, base_channels=1, encoder_blocks=1, decoder_blocks=1)
         if self.image_channels not in (1, 3):
             raise ValueError(f"image_channels must be 1 or 3, got {self.image_channels}")
 

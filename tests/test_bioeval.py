@@ -874,7 +874,7 @@ class TestVerifyOptions:
         ({"modes": ("original-original", "original-marked")}, "modes"),
     ])
     def test_rejected_in_code(self, kwargs, key):
-        with pytest.raises(ValueError, match=f"^verify config: {key} "):
+        with pytest.raises(ValueError, match=f"^{key} "):
             pipeline.VerifyOptions(**kwargs)
 
     def test_edges_accepted(self):
@@ -897,7 +897,7 @@ class TestVerifyOptions:
         out = tmp_path / "reports.txt"
         assert cli.cli_dispatch(["verify", "--config", str(config), "--embeddings", str(path), str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"usage error: verify config: {key} " in err
+        assert f"usage error: {key} " in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -968,6 +968,19 @@ class TestLoadEmbedder:
         err = capsys.readouterr().err
         assert "emb.block9.bn.running_mean" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("base_channels", 0, "base_channels must be >= 1, got 0"),
+        ("image_size", 4, "image_size must be >= 8, got 4"),
+        ("image_channels", 2, "image_channels must be 1 or 3, got 2"),
+    ],
+)
+def test_embedder_config_rejects_a_bad_architecture(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        be.EmbedderConfig(embed_dim=4, num_classes=2, class_labels=("a", "b"), **{field: value})
 
 
 # ---------------------------------------------------------------------------

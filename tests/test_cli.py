@@ -201,8 +201,10 @@ def test_help_exits_0(capsys):
         (["extract", "in.ppm"], "--model"),
         (["verify", "--embeddings", "e.txt", "a.txt", "out.txt"], "with --embeddings, pass only the output report path"),
         (["verify", "--embedder", "e.emb", "out.txt"], "with --embedder, pass at least one manifest and the output"),
+        (["train-wm", "--config", "missing.cfg", "m.csv", "out.wmf"], "config file not found: missing.cfg"),
     ],
-    ids=["no-subcommand", "unknown-flag", "missing-required", "verify-embeddings-paths", "verify-embedder-paths"],
+    ids=["no-subcommand", "unknown-flag", "missing-required", "verify-embeddings-paths", "verify-embedder-paths",
+         "missing-config"],
 )
 def test_usage_errors_exit_1(capsys, argv, message):
     code, _, err = _dispatch(capsys, *argv)
@@ -246,9 +248,11 @@ def test_neither_or_both_of_an_exclusive_flag_pair_exits_1(tmp_path, capsys, com
     assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
 
 
-def test_python_m_facemark_runs_the_command_line_without_a_warning():
+# The package does not import cli, so runpy finds facemark.cli unloaded when it runs it as __main__.
+@pytest.mark.parametrize("module", ["facemark", "facemark.cli"])
+def test_python_m_facemark_runs_the_command_line_without_a_warning(module):
     env = {**os.environ, "PYTHONPATH": str(DATA.parents[1] / "src")}
-    argv = [sys.executable, "-m", "facemark", "--help"]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "train-wm" in result.stdout

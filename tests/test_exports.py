@@ -8,8 +8,7 @@ import pytest
 import facemark
 
 
-# ``cli``, the command-line entry point, keeps no export list.
-@pytest.mark.parametrize("module", ["facemark", *(f"facemark.{name}" for name in facemark.__all__ if name != "cli")])
+@pytest.mark.parametrize("module", ["facemark", *(f"facemark.{name}" for name in facemark.__all__)])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert len(set(mod.__all__)) == len(mod.__all__), "a name is exported twice"

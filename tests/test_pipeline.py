@@ -158,21 +158,32 @@ def test_sweep_config_keeps_jpeg_qualities_as_ints():
         ("train-embedder", "base_channels=0", "base_channels"),
         ("train-wm", "lr=-1", "lr"),
         ("train-wm", "lr=nan", "lr"),
-        ("train-wm", "beta1=1.5", "beta1"),
-        ("train-wm", "beta2=-0.1", "beta2"),
-        ("train-wm", "eps=0", "eps"),
+        ("train-wm", "beta1=1.5", "unknown config keys ['beta1']"),
+        ("train-wm", "beta2=-0.1", "unknown config keys ['beta2']"),
+        ("train-wm", "eps=0", "unknown config keys ['eps']"),
         ("train-wm", "image_size=4", "image_size"),
         ("train-wm", "image_size=0", "image_size"),
         ("train-wm", "checkpoint_interval=-3", "checkpoint_interval"),
         ("train-wm", "recon_weight=nan", "recon_weight"),
-        ("train-wm", "decode_weight=inf", "decode_weight"),
+        ("train-wm", "decode_weight=inf", "unknown config keys ['decode_weight']"),
         ("train-wm", "brightness_range=1.0,inf", "brightness_range"),
+        ("train-wm", "p_aug=1.5", "p_aug must lie in [0, 1], got 1.5"),
+        ("train-wm", "aug_kinds=crop,blur", "unknown augmentation kinds ['blur']"),
+        ("train-wm", "=1", "run.cfg:1: empty key"),
+        ("train-wm", "steps=1\nsteps=2", "run.cfg:2: duplicate key 'steps'"),
+        ("train-wm", "crop_range=0.8", "config key 'crop_range': cannot parse '0.8' (expected two comma-separated"),
+        ("train-wm", "steps=1.5", "config key 'steps': cannot parse '1.5'"),
+        ("train-wm", "bogus=1", "unknown config keys ['bogus']"),
+        ("train-wm", "encoder_blocks=0", "encoder_blocks must be >= 1, got 0"),
+        ("train-wm", "decoder_blocks=0", "decoder_blocks must be >= 1, got 0"),
         ("train-embedder", "lr=-1", "lr"),
         ("train-embedder", "lr=inf", "lr"),
         ("sweep", "jpeg_grid=50.5", "jpeg_grid"),
         ("sweep", "jpeg_grid=inf", "jpeg_grid"),
         ("sweep", "contrast_grid=inf", "contrast_grid"),
         ("sweep", "sweep_kinds=crop,jpeg,crop", "sweep_kinds"),
+        ("sweep", "repetitions=0", "repetitions must be >= 1, got 0"),
+        ("sweep", "sweep_kinds=blur", "sweep_kinds has unknown kinds ['blur']"),
         ("verify", "modes=original-original,original-original", "modes"),
         ("verify", "far_targets=0.1,0.1", "far_targets"),
     ],
@@ -240,6 +251,26 @@ def test_one_adam_step_per_training_step(monkeypatch):
     model, _ = pipeline.train_watermark(config, texture_images(3, 16, seed=2))
     assert calls == [model.params, model.params]
     assert model.params.step_count == model.step == 2
+
+
+def test_a_non_finite_loss_stops_training_before_its_adam_step():
+    import numpy as np
+
+    from _synth import texture_images
+    from facemark import watermarknet as wm
+
+    config = pipeline.TrainConfig(
+        steps=2, batch_size=2, image_size=16, message_length=4, base_channels=3, encoder_blocks=1, decoder_blocks=1,
+    )
+    model = wm.build_model(config.model_config(), seed=config.seed)
+    model.params["dec.fc.bias"].value[:] = 1e308
+    before = {name: node.value.copy() for name, node in model.params.items()}
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+        pipeline.train_watermark(config, texture_images(3, 16, seed=2), model=model)
+    assert re.fullmatch(r"training diverged at step 1: recon=\S+, decode=inf", str(info.value)), info.value
+    assert model.step == model.params.step_count == 0
+    for name, node in model.params.items():
+        np.testing.assert_array_equal(node.value, before[name], err_msg=name)
 
 
 def test_augmented_training_per_kind_repeats_recorded_parameters():
@@ -420,6 +451,25 @@ def test_watermark_dataset_outputs_repeat_on_any_worker_count(conv_workers, tmp_
     assert written == 18 and len(digests) == 18
     assert entries == [e for i, e in enumerate(manifest.entries) if i not in (5, 12)]
     assert [path for path, _ in failed] == ["in/sub1/img5.ppm", "in/sub0/img12.ppm"]
+
+
+def test_watermark_dataset_aborts_above_a_tenth_of_unreadable_images(tmp_path, capsys, tiny_model):
+    from _synth import texture_images
+    from facemark import cli
+    from facemark import watermarknet as wm
+
+    manifest_path = _write_images(tmp_path / "in", texture_images(20, 16, seed=6), bad_at=(5, 12, 17))
+    message = f"3/20 images unreadable; first: {tmp_path / 'in' / 'sub1' / 'img5.ppm'}"
+    with pytest.raises(RuntimeError, match=f"^watermark_dataset: {re.escape(message)}$"):
+        pipeline.watermark_dataset(tiny_model, pipeline.load_manifest(manifest_path), TINY_MESSAGE, tmp_path / "lib")
+    assert not (tmp_path / "lib" / "manifest.csv").exists()
+
+    wm.save_model(tiny_model, tmp_path / "tiny.wmf")
+    argv = ["watermark-dataset", "--model", str(tmp_path / "tiny.wmf"), "--message", "1011", str(manifest_path),
+            str(tmp_path / "cli")]
+    assert cli.cli_dispatch(argv) == 2
+    assert capsys.readouterr().err == f"error: watermark_dataset: {message}\n"
+    assert not (tmp_path / "cli" / "manifest.csv").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

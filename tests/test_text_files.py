@@ -153,6 +153,25 @@ def test_load_embeddings_names_the_line_of_a_bad_record(tmp_path, record, messag
         bioeval.load_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("\n \n", "no embedding records found"), ("a,original,1 2\nb,original,1 2 3\n", "inconsistent embedding dimensions [2, 3]")],
+    ids=["no-records", "two-dimensions"],
+)
+def test_load_embeddings_names_the_path_of_a_bad_set(tmp_path, text, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        bioeval.load_embeddings(path)
+
+
+def test_save_embeddings_rejects_a_comma_in_an_identity(tmp_path):
+    embeddings = [bioeval.Embedding(np.array([1.0, 2.0]), "smith,j", "original")]
+    with pytest.raises(ValueError, match=re.escape("identity/source must not contain commas: 'smith,j'/'original'")):
+        bioeval.save_embeddings(embeddings, tmp_path / "emb.txt")
+    assert not (tmp_path / "emb.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # writer bytes, fixed inputs against text written by the original writers
 # ---------------------------------------------------------------------------
