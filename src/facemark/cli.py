@@ -20,6 +20,19 @@ batch over the usable cores instead, and its output files are byte-identical
 on any core count. A program that imports numpy first and calls
 :func:`cli_dispatch` keeps numpy's BLAS threads, and with them bits that can
 vary with the thread count.
+
+Importing the package also sets three glibc allocator parameters through
+``mallopt``, overriding any ``MALLOC_*`` environment value as the BLAS pin
+overrides its variables, so memory numpy frees stays mapped for the next
+training step or call instead of being faulted in again page by page:
+``M_MMAP_THRESHOLD`` at 32 MiB (glibc's ceiling for its dynamic threshold)
+serves every array at the default shapes from the heap, ``M_TRIM_THRESHOLD``
+at 1 GiB keeps a freed heap top mapped, and ``M_ARENA_MAX`` at 1 makes the
+pool's threads share that heap, which keeps a sweep's peak RSS where it
+was. One ``verify`` call at the benchmark's shape goes from ~2,300 minor
+page faults to 0, and one default training step from ~23,000 to 0. The
+settings take effect whenever facemark is imported, before or after numpy,
+apply on glibc only, and change no result.
 """
 
 from __future__ import annotations
@@ -255,7 +268,7 @@ def cli_dispatch(argv):
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(f"run 'facemark --help' for usage", file=sys.stderr)
+        print("run 'facemark --help' for usage", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         code = exc.code
